@@ -27,6 +27,7 @@ from .combinatorics import (
     colex_key,
     colex_rank,
     colex_unrank,
+    jset_ranks,
     rank_jset,
     sub_jsets,
     unrank_jset,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinatorics import JSet, binomial, colex_unrank, validate_subset
+from .combinatorics import JSet, binomial, colex_unrank, jset_ranks, validate_subset
 from .errors import ConvergenceError, ValidationError
 from .models import Hypergraph
 from .params import Params
@@ -115,10 +115,7 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     j = params.j
     deg: dict[int, int] = {}
     for e in h.edges:
-        for sub in combinations(e, j):
-            r = 0
-            for i, v in enumerate(sub, start=1):
-                r += math.comb(v - 1, i)
+        for r in jset_ranks(e, j):
             deg[r] = deg.get(r, 0) + 1
     counts = dict(Counter(deg.values()))
     d0 = params.num_jsets - len(deg)

@@ -49,7 +49,20 @@ def colex_key(s: Sequence[int]) -> tuple[int, ...]:
 
 def colex_rank(s: Sequence[int]) -> int:
     """Colex rank of a canonical (strictly increasing, 1-based) subset."""
-    return sum(math.comb(v - 1, i) for i, v in enumerate(s, start=1))
+    return jset_ranks(s, len(s))[0]
+
+
+def jset_ranks(edge: Sequence[int], j: int) -> list[int]:
+    """Colex ranks of the C(k, j) j-subsets of a canonical edge, in
+    ``itertools.combinations`` order (not sorted).  No validation: callers
+    check the edge first."""
+    ranks = []
+    for sub in combinations(edge, j):
+        r = 0
+        for i, v in enumerate(sub, start=1):
+            r += math.comb(v - 1, i)
+        ranks.append(r)
+    return ranks
 
 
 def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:

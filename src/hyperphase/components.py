@@ -16,11 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .combinatorics import Edge, JSet, colex_key, colex_unrank, sub_jsets, validate_subset
+from .combinatorics import Edge, JSet, colex_key, colex_unrank, jset_ranks, sub_jsets, validate_subset
 from .errors import ResourceLimitError
 from .models import Hypergraph
 from .params import Params, max_jsets_cap
@@ -103,13 +102,7 @@ class JSetUnionFind:
         Idempotent: re-applying an edge returns 0.
         """
         validate_subset(edge, self.params.k, self.params.n, "edge")
-        j = self._j
-        ranks = []
-        for sub in combinations(edge, j):
-            r = 0
-            for i, v in enumerate(sub, start=1):
-                r += comb(v - 1, i)
-            ranks.append(r)
+        ranks = jset_ranks(edge, self._j)
         touched = self._touched
         for r in ranks:
             if not touched[r]:
@@ -123,43 +116,28 @@ class JSetUnionFind:
         self._edges_applied += 1
         return delta
 
-    def _touched_root_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for idx in np.nonzero(self._touched)[0]:
-            root = self.find(int(idx))
-            if root not in sizes:
-                sizes[root] = int(self._size[root])
-        return sizes
+    def _groups(self) -> list[list[int]]:
+        """Non-trivial components as ascending rank lists, ordered by their
+        smallest rank.  Every touched j-set lies in one (an edge has at
+        least two j-subsets) and no untouched j-set does."""
+        groups: dict[int, list[int]] = {}
+        find = self.find
+        for idx in np.nonzero(self._touched)[0].tolist():
+            groups.setdefault(find(idx), []).append(idx)
+        return list(groups.values())
 
     def partition(self) -> list[frozenset[int]]:
-        """Non-trivial components as frozensets of j-set ranks."""
-        groups: dict[int, list[int]] = {}
-        for idx in np.nonzero(self._touched)[0]:
-            groups.setdefault(self.find(int(idx)), []).append(int(idx))
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+        """Non-trivial components as frozensets of j-set ranks, ordered by
+        their smallest rank."""
+        return [frozenset(g) for g in self._groups()]
 
     def largest_component_ranks(self) -> list[int]:
         """Ranks of the largest component, ascending; ties broken towards
         the component containing the smallest rank.  Empty if no edges."""
-        best_root = -1
-        best_size = 0
-        seen: set[int] = set()
-        touched_idx = np.nonzero(self._touched)[0]
-        for idx in touched_idx:
-            root = self.find(int(idx))
-            if root in seen:
-                continue
-            seen.add(root)
-            size = int(self._size[root])
-            if size > best_size:
-                best_size = size
-                best_root = root
-        if best_root < 0:
-            return []
-        return [int(idx) for idx in touched_idx if self.find(int(idx)) == best_root]
+        return max(self._groups(), key=len, default=[])
 
     def summary(self, m: int | None = None) -> ComponentSummary:
-        sizes = sorted(self._touched_root_sizes().values(), reverse=True)
+        sizes = sorted(map(len, self._groups()), reverse=True)
         largest = sizes[0] if sizes else 0
         return ComponentSummary(
             params=self.params,
@@ -203,21 +181,23 @@ class ExplorationRecord:
         return self.generations[-1]
 
 
-def component_summary(h: Hypergraph) -> ComponentSummary:
-    """Apply every edge to a fresh union-find and report the census."""
+def _union_find(h: Hypergraph) -> JSetUnionFind:
+    """A fresh union-find with every edge of `h` applied."""
     uf = JSetUnionFind(h.params)
     for e in h.edges:
         uf.apply_edge(e)
-    return uf.summary(m=h.m)
+    return uf
+
+
+def component_summary(h: Hypergraph) -> ComponentSummary:
+    """Apply every edge to a fresh union-find and report the census."""
+    return _union_find(h).summary(m=h.m)
 
 
 def largest_component_jsets(h: Hypergraph) -> list[JSet]:
     """All j-sets of the largest component, ascending by rank."""
-    uf = JSetUnionFind(h.params)
-    for e in h.edges:
-        uf.apply_edge(e)
     j, n = h.params.j, h.params.n
-    return [colex_unrank(r, j, n) for r in uf.largest_component_ranks()]
+    return [colex_unrank(r, j, n) for r in _union_find(h).largest_component_ranks()]
 
 
 def bfs_components(h: Hypergraph, max_jsets: int = BFS_ORACLE_MAX_JSETS) -> list[frozenset[JSet]]:

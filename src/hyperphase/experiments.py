@@ -23,6 +23,7 @@ from .analysis import (
     degree_regime_p,
     poisson_limit_rate,
     poisson_pmf,
+    predicted_giant_fraction,
     regime_advisories,
     smoothness_score,
     thresholds,
@@ -203,16 +204,10 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
                 p=p,
                 trials=tuple(rows),
                 largest_fraction=aggregate(fractions),
-                predicted_fraction=_predicted(params, eps),
+                predicted_fraction=predicted_giant_fraction(params, eps) if eps > 0 else None,
             )
         )
     return points
-
-
-def _predicted(params: Params, eps: float) -> float | None:
-    if eps <= 0:
-        return None
-    return 2.0 * eps / (params.jsets_per_edge - 1)
 
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:

@@ -27,7 +27,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from statistics import NormalDist
+from typing import Iterator
 
 from .combinatorics import Edge, colex_key, colex_unrank, validate_subset
 from .errors import ValidationError
@@ -83,8 +85,7 @@ class EdgeStream:
         self.seed = seed
         self.position = 0
         self._total = params.num_ksets
-        self._rng = random.Random(seed)
-        self._drawn: set[int] = set()
+        self._ranks = _distinct_ranks(random.Random(seed), self._total)
 
     def __iter__(self) -> "EdgeStream":
         return self
@@ -92,14 +93,7 @@ class EdgeStream:
     def __next__(self) -> Edge:
         if self.position >= self._total:
             raise StopIteration
-        rng = self._rng
-        drawn = self._drawn
-        total = self._total
-        while True:
-            r = rng.randrange(total)
-            if r not in drawn:
-                break
-        drawn.add(r)
+        r = next(self._ranks)
         self.position += 1
         return colex_unrank(r, self.params.k, self.params.n)
 
@@ -160,14 +154,19 @@ def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> list[int
     if count > total // 2:
         excluded = set(_draw_distinct_ranks(rng, total, total - count))
         return [r for r in range(total) if r not in excluded]
+    return list(islice(_distinct_ranks(rng, total), count))
+
+
+def _distinct_ranks(rng: random.Random, total: int) -> Iterator[int]:
+    """Uniform ranks in [0, total) without repetition, in draw order, by
+    rejection against the set of ranks drawn so far.  Draws only when the
+    next rank is asked for; the caller stops after at most `total`."""
     drawn: set[int] = set()
-    out: list[int] = []
-    while len(out) < count:
+    while True:
         r = rng.randrange(total)
         if r not in drawn:
             drawn.add(r)
-            out.append(r)
-    return out
+            yield r
 
 
 def _draw_binomial_count(rng: random.Random, n_trials: int, p: float) -> int:

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from hyperphase.cli import cli_dispatch
+from hyperphase.cli import _HANDLERS, cli_dispatch
+from hyperphase.hgio import parse_config
 
 TWO_EDGE_FILE = "3 4 2\n1 2 3\n2 3 4\n"
 
@@ -231,3 +234,91 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("3 4 1\n3 2 1\n", encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
     assert code == 1 and "line 2" in err
+
+
+# SHA-256 of stdout for each command at a tiny config.  "{cfg}" is the
+# config file; "{hg}" is a hypergraph sampled from it with --m 40.  The
+# hashes pin the output bytes, so an engine rewrite that changes a single
+# row, rank or float digit fails here.  "sample-m" asks for more than half
+# of the C(12, 3) = 220 edges, so it takes the complement draw;
+# "smooth-sampled" has sample_cap < C(30, 1), so it scores a sample.
+GOLDEN_STDOUT = {
+    "sample-p": (
+        "k=3\nj=2\nn=12\nseed=7\n",
+        ["sample", "--config", "{cfg}", "--p", "0.1"],
+        "0c86cc8e893b93d4a610afade8bb8472611fe94e40eaa105a02555ba2e6bd2b5",
+    ),
+    "sample-m": (
+        "k=3\nj=2\nn=12\nseed=7\n",
+        ["sample", "--config", "{cfg}", "--m", "150"],
+        "437065dacf9f1d5b5dcf0e23d91042faed5f360d653317c1706cc0026b81e493",
+    ),
+    "components": (
+        "k=3\nj=2\nn=12\nseed=7\n",
+        ["components", "{hg}", "--j", "2"],
+        "e9b3f6c12d28493613eb5d45c1ccc072de2352b1250bc07e88007d6f7a3e3410",
+    ),
+    "explore": (
+        "k=3\nj=2\nn=12\nseed=7\n",
+        ["explore", "{hg}", "--start", "1,2"],
+        "cf47e115004fcd352185c9ebc5ade160b73d0ab58ef34c59759dbaf61b89787f",
+    ),
+    "sweep": (
+        "k=3\nj=2\nn=20\ntrials=3\neps_grid=-0.3,0.5\n",
+        ["sweep", "--config", "{cfg}"],
+        "d3e76aaffdb9507553c02499d2d1cbdb9602a8ea678e86e1346fb80c18beb32d",
+    ),
+    "hitting-32": (
+        "k=3\nj=2\nn=10\ntrials=3\n",
+        ["hitting", "--config", "{cfg}"],
+        "8e8837a134d1da06027d42e11d3d83c63e34ed77bde045fe278f2171e0910cee",
+    ),
+    "hitting-21": (
+        "k=2\nj=1\nn=12\ntrials=3\n",
+        ["hitting", "--config", "{cfg}"],
+        "189283576103bab077df7b4e3dea631fee29874f750b3b040942c216233976b3",
+    ),
+    "degrees": (
+        "k=3\nj=1\nn=30\ntrials=5\ns=0\nc=0\n",
+        ["degrees", "--config", "{cfg}"],
+        "1da4a4492107838d237260094913a95a9bc2d3aec80113511e1954291d3a4d1c",
+    ),
+    "connprobe": (
+        "k=3\nj=2\nn=15\ntrials=3\nomega=2\n",
+        ["connprobe", "--config", "{cfg}"],
+        "76f27c0e9e06ef1410cc106f4baba9965f11d70c9365c3c25425b1bacc60637f",
+    ),
+    "smooth": (
+        "k=3\nj=2\nn=30\ntrials=3\ngamma=0.5\nell_list=0,1\n",
+        ["smooth", "--config", "{cfg}"],
+        "e76a0ebc6a538199db2c0f6b0a86f12cbad5f4db06631e90c927db9985210207",
+    ),
+    "smooth-sampled": (
+        "k=3\nj=2\nn=30\ntrials=2\ngamma=0.5\nell_list=1\nsample_cap=5\n",
+        ["smooth", "--config", "{cfg}"],
+        "eacce20d7e83e0b18fc1d716895390c7df7e21f09ab6f1eea243d708003fa206",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_bytes(case, tmp_path, capsys):
+    config, argv, digest = GOLDEN_STDOUT[case]
+    cfg = tmp_path / "c.txt"
+    hg = tmp_path / "h.hg"
+    cfg.write_text(config, encoding="utf-8")
+    assert cli_dispatch(["sample", "--config", str(cfg), "--m", "40", "--out", str(hg)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, [arg.format(cfg=cfg, hg=hg) for arg in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.txt"))
+
+
+def test_configs_parse_and_name_a_subcommand():
+    assert CONFIGS
+    for path in CONFIGS:
+        parse_config(path.read_text(encoding="utf-8"))
+        assert path.stem in _HANDLERS, f"{path.name} names no subcommand"

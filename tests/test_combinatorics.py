@@ -10,6 +10,7 @@ from hyperphase.combinatorics import (
     colex_key,
     colex_rank,
     colex_unrank,
+    jset_ranks,
     rank_jset,
     sub_jsets,
     unrank_jset,
@@ -162,6 +163,7 @@ def test_sub_jsets_properties(k, data):
     assert len(set(subs)) == len(subs)
     assert all(set(s) <= set(edge) for s in subs)
     assert subs == sorted(subs, key=colex_key)
+    assert [colex_unrank(r, j, n) for r in jset_ranks(edge, j)] == list(combinations(edge, j))
 
 
 def test_sub_jsets_validation():

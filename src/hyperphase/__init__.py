@@ -24,9 +24,12 @@ from .analysis import (
 )
 from .combinatorics import (
     binomial,
+    canonical_rows,
     colex_key,
     colex_rank,
     colex_unrank,
+    colex_unrank_array,
+    jset_rank_array,
     jset_ranks,
     rank_jset,
     sub_jsets,

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinatorics import JSet, binomial, colex_unrank, jset_ranks, validate_subset
+import numpy as np
+
+from .combinatorics import JSet, binomial, colex_unrank, jset_rank_array, validate_subset
 from .errors import ConvergenceError, ValidationError
 from .models import Hypergraph
 from .params import Params
@@ -112,15 +113,11 @@ def predicted_giant_fraction(params: Params, eps: float) -> float:
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Exact degree census over all C(n, j) j-sets in one pass over edges."""
     params = h.params
-    j = params.j
-    deg: dict[int, int] = {}
-    for e in h.edges:
-        for r in jset_ranks(e, j):
-            deg[r] = deg.get(r, 0) + 1
-    counts = dict(Counter(deg.values()))
-    d0 = params.num_jsets - len(deg)
-    if d0:
-        counts[0] = d0
+    # degrees of the touched j-sets only: memory scales with m, not C(n, j)
+    _, deg = np.unique(jset_rank_array(h.array, params.j, params.n), return_counts=True)
+    hist = np.bincount(deg, minlength=1)
+    hist[0] = params.num_jsets - len(deg)
+    counts = {s: c for s, c in enumerate(hist.tolist()) if c}
     return DegreeProfile(params=params, m=h.m, counts=counts)
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import gw_survival, thresholds
+from .analysis import RegimeAdvisory, gw_survival, thresholds
 from .components import bfs_explore, component_summary
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
@@ -126,6 +127,19 @@ def _render_table(table: ResultTable, args: argparse.Namespace) -> str:
     return write_csv(table)
 
 
+def _advised(runner, cfg: ExperimentConfig):
+    """``runner(cfg)`` and, as notes, each distinct regime advisory it
+    raised, in first-seen order; other warnings pass through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RegimeAdvisory)
+        result = runner(cfg)
+    for w in caught:
+        if not issubclass(w.category, RegimeAdvisory):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    notes = [f"advisory: {w.message}" for w in caught if issubclass(w.category, RegimeAdvisory)]
+    return result, list(dict.fromkeys(notes))
+
+
 def _cmd_thresholds(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     th = thresholds(cfg.params)
@@ -209,7 +223,7 @@ def _cmd_explore(args) -> tuple[str, list[str]]:
 
 def _cmd_sweep(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
-    points = run_phase_sweep(cfg)
+    points, advisories = _advised(run_phase_sweep, cfg)
     total = cfg.params.num_jsets
     table = ResultTable(
         ["eps", "p", "trial", "seed", "largest", "second",
@@ -228,7 +242,7 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
             f"eps={pt.eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
-    return _render_table(table, args), notes
+    return _render_table(table, args), notes + advisories
 
 
 def _cmd_hitting(args) -> tuple[str, list[str]]:
@@ -271,7 +285,7 @@ def _cmd_connprobe(args) -> tuple[str, list[str]]:
 
 def _cmd_smooth(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
-    trials = run_smoothness_probe(cfg)
+    trials, advisories = _advised(run_smoothness_probe, cfg)
     table = ResultTable(
         ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
          "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
@@ -286,7 +300,8 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
                 rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled,
             )
     flagged = sum(tr.flagged for tr in trials)
-    return _render_table(table, args), [f"{len(trials)} trials, {flagged} flagged (no edges)"]
+    notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
+    return _render_table(table, args), notes + advisories
 
 
 _HANDLERS = {

@@ -17,6 +17,8 @@ import math
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -90,6 +92,47 @@ def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
     if r != 0:
         raise ValidationError(f"rank {rank} is out of range for {size}-subsets of [{n}]")
     return tuple(out)
+
+
+def _binomial_column(i: int, n: int) -> np.ndarray:
+    """C(v, i) for v in [0, n), saturated at INT64_MAX: it can pass 2^63 for
+    i < k even when C(n, k) fits, but every entry a valid rank selects is <= it."""
+    return np.array([min(math.comb(v, i), INT64_MAX) for v in range(n)], dtype=np.int64)
+
+
+def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> np.ndarray:
+    """colex_unrank of every rank, as an (m, size) int64 array; ranks must lie
+    in [0, C(n, size)), unchecked."""
+    r = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(r), size), dtype=np.int64)
+    for i in range(size, 0, -1):
+        col = _binomial_column(i, n)
+        v = np.searchsorted(col, r, side="right") - 1
+        out[:, i - 1] = v + 1
+        r -= col[v]
+    return out
+
+
+def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
+    """jset_ranks of every row of an (m, k) array of canonical edges on [n],
+    as an (m, C(k, j)) int64 array; rows unchecked."""
+    k = edges.shape[1]
+    # terms[i][p] = C(edges[:, p] - 1, i + 1): vertex p as a j-set's (i+1)-th
+    terms = [_binomial_column(i + 1, n)[edges - 1].T for i in range(j)]
+    out = np.empty((len(edges), math.comb(k, j)), dtype=np.int64)
+    for c, sub in enumerate(combinations(range(k), j)):
+        out[:, c] = sum(terms[i][p] for i, p in enumerate(sub))
+    return out
+
+
+def canonical_rows(edges: np.ndarray, size: int, n: int) -> bool:
+    """Whether `edges` is an integer (m, size) array of canonical subsets of
+    [n]: every row strictly increasing, vertices in [1, n]."""
+    if edges.ndim != 2 or edges.shape[1] != size or edges.dtype.kind not in "iu":
+        return False
+    return not edges.size or bool(
+        edges[:, 0].min() >= 1 and edges[:, -1].max() <= n and (np.diff(edges, axis=1) > 0).all()
+    )
 
 
 def validate_subset(s: Iterable[int], size: int, n: int, what: str = "subset") -> tuple[int, ...]:

@@ -19,8 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import Edge, JSet, colex_key, colex_unrank, jset_ranks, sub_jsets, validate_subset
-from .errors import ResourceLimitError
+from .combinatorics import Edge, JSet, canonical_rows, colex_key, colex_unrank, jset_rank_array
+from .combinatorics import jset_ranks, sub_jsets, validate_subset
+from .errors import ResourceLimitError, ValidationError
 from .models import Hypergraph
 from .params import Params, max_jsets_cap
 
@@ -116,28 +117,63 @@ class JSetUnionFind:
         self._edges_applied += 1
         return delta
 
-    def _groups(self) -> list[list[int]]:
-        """Non-trivial components as ascending rank lists, ordered by their
-        smallest rank.  Every touched j-set lies in one (an edge has at
-        least two j-subsets) and no untouched j-set does."""
-        groups: dict[int, list[int]] = {}
-        find = self.find
-        for idx in np.nonzero(self._touched)[0].tolist():
-            groups.setdefault(find(idx), []).append(idx)
-        return list(groups.values())
+    def apply_edges(self, edges: np.ndarray) -> int:
+        """``apply_edge`` for every row of an (m, k) array of canonical edges,
+        such as ``Hypergraph.array``; returns unions performed.  Hook-and-compress (Shiloach &
+        Vishkin 1982): each round hooks the roots of every edge still split
+        to their smallest, then pointer-jumps.  Roots only ever point down,
+        so no cycle forms, and each round retires a root per split edge."""
+        k, n = self.params.k, self.params.n
+        if not canonical_rows(edges, k, n):
+            raise ValidationError(f"edges must be an integer (m, {k}) array of canonical edges on [{n}]")
+        ranks = np.ascontiguousarray(jset_rank_array(edges, self._j, n).T)
+        labels = _compress(self._parent)
+        pending = ranks  # (C(k, j), edges not yet inside one component)
+        while pending.shape[1]:
+            roots = labels[pending]
+            low = roots.min(axis=0)
+            np.minimum.at(labels, roots.ravel(), np.tile(low, len(roots)))
+            labels = _compress(labels)
+            # edges that were split stay pending; compress keeps rows contiguous
+            pending = pending.compress(low != roots.max(axis=0), axis=1)
+        self._parent = labels
+        self._size = np.bincount(labels, minlength=self._total)
+        before = self._num_sets
+        self._num_sets = int(np.count_nonzero(labels == np.arange(self._total)))
+        self._touched[ranks] = True
+        self._touched_count = int(np.count_nonzero(self._touched))
+        self._edges_applied += len(edges)
+        return before - self._num_sets
+
+    def _touched_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Touched ranks, ascending, and their roots.  Non-trivial components
+        hold exactly the touched j-sets: an edge has at least two j-subsets."""
+        self._parent = _compress(self._parent)
+        touched = np.flatnonzero(self._touched)
+        return touched, self._parent[touched]
 
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by
         their smallest rank."""
-        return [frozenset(g) for g in self._groups()]
+        touched, labels = self._touched_labels()
+        order = np.argsort(labels, kind="stable")
+        bounds = np.flatnonzero(np.diff(labels[order])) + 1
+        groups = sorted(np.split(touched[order], bounds), key=lambda g: g[0]) if len(touched) else []
+        return [frozenset(g.tolist()) for g in groups]
 
     def largest_component_ranks(self) -> list[int]:
         """Ranks of the largest component, ascending; ties broken towards
         the component containing the smallest rank.  Empty if no edges."""
-        return max(self._groups(), key=len, default=[])
+        touched, labels = self._touched_labels()
+        if not len(touched):
+            return []
+        first = int(np.argmax(np.bincount(labels)[labels]))  # smallest rank in a largest component
+        return touched[labels == labels[first]].tolist()
 
     def summary(self, m: int | None = None) -> ComponentSummary:
-        sizes = sorted(map(len, self._groups()), reverse=True)
+        _, labels = self._touched_labels()
+        sizes = np.bincount(labels)
+        sizes = np.sort(sizes[sizes > 0])[::-1].tolist()
         largest = sizes[0] if sizes else 0
         return ComponentSummary(
             params=self.params,
@@ -181,16 +217,24 @@ class ExplorationRecord:
         return self.generations[-1]
 
 
+def _compress(parent: np.ndarray) -> np.ndarray:
+    """Pointer jumping: a copy of the forest with every node pointing at its root."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return grand
+        parent = grand
+
+
 def _union_find(h: Hypergraph) -> JSetUnionFind:
-    """A fresh union-find with every edge of `h` applied."""
+    """A fresh union-find with every edge of `h` applied in one batch."""
     uf = JSetUnionFind(h.params)
-    for e in h.edges:
-        uf.apply_edge(e)
+    uf.apply_edges(h.array)
     return uf
 
 
 def component_summary(h: Hypergraph) -> ComponentSummary:
-    """Apply every edge to a fresh union-find and report the census."""
+    """Label every edge of `h` in a fresh union-find and report the census."""
     return _union_find(h).summary(m=h.m)
 
 

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from statistics import NormalDist
 from typing import Iterator
 
-from .combinatorics import Edge, colex_key, colex_unrank, validate_subset
+import numpy as np
+
+from .combinatorics import Edge, canonical_rows, colex_unrank, colex_unrank_array, validate_subset
 from .errors import ValidationError
-from .params import Params
+from .params import Params, check_cap
 
 _NORMAL = NormalDist()
 _BIG_POPULATION = 2**53
@@ -50,19 +52,32 @@ class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, duplicate-free edges.
 
     Edges are stored sorted by colex rank, so equal hypergraphs compare
-    equal regardless of construction order.
+    equal regardless of construction order.  ``array`` holds the same rows
+    as a read-only (m, k) int64 array; either form may be passed in.
     """
 
     params: Params
     edges: tuple[Edge, ...] = ()
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        canon = [validate_subset(e, self.params.k, self.params.n, "edge") for e in self.edges]
-        canon.sort(key=colex_key)
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValidationError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(canon))
+        k, n = self.params.k, self.params.n
+        arr = _edge_array(self.edges, k, n)
+        if arr is None:  # per-edge checks name the fault
+            edges = self.edges.tolist() if isinstance(self.edges, np.ndarray) else self.edges
+            arr = np.array([validate_subset(e, k, n, "edge") for e in edges]).reshape(-1, k)
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValidationError(f"edge vertices must be integers, got {arr.dtype} values")
+            arr = arr.astype(np.int64)
+        # colex order compares vertices only, so it is exact for any k; the
+        # narrowest dtype holding [1, n] sorts fastest
+        arr = arr[np.lexsort(arr.T.astype(np.min_scalar_type(n)))]
+        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+        if len(dup):
+            raise ValidationError(f"duplicate edge {tuple(arr[dup[0]].tolist())}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "edges", tuple(zip(*arr.T.tolist())))
 
     @property
     def m(self) -> int:
@@ -108,6 +123,7 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
     total = params.num_ksets
     if not 0 <= M <= total:
         raise ValidationError(f"edge count M={M} outside [0, {total}]")
+    check_cap("edge count m", M)
     rng = random.Random(seed)
     ranks = _draw_distinct_ranks(rng, total, M)
     return _from_ranks(params, ranks)
@@ -119,6 +135,7 @@ def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
     total = params.num_ksets
     rng = random.Random(seed)
     m = _draw_binomial_count(rng, total, p)
+    check_cap("edge count m", m)
     ranks = _draw_distinct_ranks(rng, total, m)
     return _from_ranks(params, ranks)
 
@@ -141,8 +158,17 @@ def _validate_probability(p: float, name: str) -> None:
 
 
 def _from_ranks(params: Params, ranks: list[int]) -> Hypergraph:
-    k, n = params.k, params.n
-    return Hypergraph(params, tuple(colex_unrank(r, k, n) for r in ranks))
+    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
+
+
+def _edge_array(edges, k: int, n: int) -> np.ndarray | None:
+    """`edges` as an (m, k) int64 array if it is a non-empty integer array
+    of canonical rows, else None."""
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # ragged rows
+        return None
+    return arr.astype(np.int64, copy=False) if arr.size and canonical_rows(arr, k, n) else None
 
 
 def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> list[int]:

@@ -1,8 +1,9 @@
 """Problem parameters (k, j, n) and the memory guardrail.
 
-The guardrail caps C(n, j), the number of j-sets a dense engine would have
-to index.  It exists so oversized instances fail with a clear resource
-error instead of an allocator death spiral.  The cap defaults to 2*10^8
+The guardrail (``check_cap``) caps C(n, j), the number of j-sets a dense
+engine would have to index, and the edge count of a sample.  It exists so
+oversized instances fail with a clear resource error instead of an
+allocator death spiral.  The cap defaults to 2*10^8
 and can be overridden via the HYPERPHASE_MAX_JSETS environment variable.
 """
 
@@ -32,6 +33,15 @@ def max_jsets_cap() -> int:
     return cap
 
 
+def check_cap(what: str, count: int) -> None:
+    """The guardrail: fail fast when `count` items would pass the cap."""
+    cap = max_jsets_cap()
+    if count > cap:
+        raise ResourceLimitError(
+            f"{what} = {count} exceeds the guardrail cap {cap} (override with {MAX_JSETS_ENV})"
+        )
+
+
 @dataclass(frozen=True)
 class Params:
     """Uniformity k, connectivity order j, vertex count n."""
@@ -47,13 +57,7 @@ class Params:
             raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={self.j}, k={self.k}")
         if self.n < self.k:
             raise ValidationError(f"n must satisfy n >= k, got n={self.n}, k={self.k}")
-        cap = max_jsets_cap()
-        total = binomial(self.n, self.j)
-        if total > cap:
-            raise ResourceLimitError(
-                f"C(n={self.n}, j={self.j}) = {total} exceeds the guardrail cap {cap} "
-                f"(override with {MAX_JSETS_ENV})"
-            )
+        check_cap(f"C(n={self.n}, j={self.j})", binomial(self.n, self.j))
 
     @property
     def num_jsets(self) -> int:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +223,11 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     path.write_text(TWO_EDGE_FILE, encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
     assert code == 2 and "guardrail" in err
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "50")  # 30 j-sets fit, ~2030 edges do not
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=3\nj=1\nn=30\n", encoding="utf-8")
+    code, out, err = run(capsys, ["sample", "--config", str(cfg), "--p", "0.5"])
+    assert code == 2 and "edge count" in err and out == ""
 
 
 def test_exit_code_overflow(tmp_path, capsys):
@@ -234,6 +242,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("3 4 1\n3 2 1\n", encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
     assert code == 1 and "line 2" in err
+
+
+def test_regime_advisories_become_notes(tmp_path):
+    # both eps points raise the same two advisories; the CLI prints each
+    # once as a note instead of a warning pointing at its own source
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=3\nj=2\nn=40\ntrials=2\neps_grid=-0.2,0.2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperphase", "sweep", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    advisories = [line for line in proc.stderr.splitlines() if "regime is marginal" in line]
+    assert advisories == [
+        "advisory: eps^3 * n^j = 12.8 < 100: sweep regime is marginal",
+        "advisory: eps^2 * n^(1-2*delta) = 0.253 < 100: sweep regime is marginal",
+    ]
+    assert "run_phase_sweep(" not in proc.stderr and "RegimeAdvisory" not in proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+    assert digest == "2f517f3cf09c4e529d4598f0c9bc8e4c60869b90d95cad898dbc3df3e2b10ca2"
 
 
 # SHA-256 of stdout for each command at a tiny config.  "{cfg}" is the

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from hyperphase.combinatorics import (
     colex_key,
     colex_rank,
     colex_unrank,
+    colex_unrank_array,
+    jset_rank_array,
     jset_ranks,
     rank_jset,
     sub_jsets,
@@ -123,7 +126,19 @@ def subset_with_params(draw):
 def test_rank_unrank_round_trip(case):
     s, j, n = case
     params = Params(j + 1, j, n)
-    assert unrank_jset(rank_jset(s, params), params) == s
+    rank = rank_jset(s, params)
+    assert unrank_jset(rank, params) == s
+    ranks = [0, rank, binomial(n, j) - 1]
+    assert colex_unrank_array(ranks, j, n).tolist() == [list(colex_unrank(r, j, n)) for r in ranks]
+
+
+def test_array_kernels_saturate_without_overflow():
+    # C(v, i) passes 2^63 for mid-sized i at v < 70, but C(70, 65) fits
+    n, k = 70, 65
+    last = binomial(n, k) - 1
+    row = colex_unrank_array([last], k, n)
+    assert row.tolist() == [list(range(6, 71))] == [list(colex_unrank(last, k, n))]
+    assert jset_rank_array(row, 64, n).tolist() == [jset_ranks(tuple(range(6, 71)), 64)]
 
 
 @given(subset_with_params(), subset_with_params())
@@ -164,6 +179,8 @@ def test_sub_jsets_properties(k, data):
     assert all(set(s) <= set(edge) for s in subs)
     assert subs == sorted(subs, key=colex_key)
     assert [colex_unrank(r, j, n) for r in jset_ranks(edge, j)] == list(combinations(edge, j))
+    rows = [edge, tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1))]
+    assert jset_rank_array(np.array(rows), j, n).tolist() == [jset_ranks(e, j) for e in rows]
 
 
 def test_sub_jsets_validation():
@@ -186,9 +203,11 @@ def test_bijection_for_medium_sizes():
         params = Params(j + 1, j, n)
         total = binomial(n, j)
         seen = set()
+        rows = colex_unrank_array(range(total), j, n).tolist()
         for rank in range(total):
             s = unrank_jset(rank, params)
             validate_subset(s, j, n)
             assert colex_rank(s) == rank
+            assert rows[rank] == list(s)
             seen.add(s)
         assert len(seen) == total

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,10 @@ def test_apply_edge_validates():
         uf.apply_edge((1, 2))
     with pytest.raises(ValidationError):
         uf.apply_edge((1, 2, 5))
+    for bad in ([[0, 1, 2]], [[1, 2, 5]], [[3, 2, 1]], [[1, 2]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValidationError, match="canonical edges"):
+            uf.apply_edges(np.array(bad))
+    assert uf.edges_applied == 0 and uf.touched_count == 0
 
 
 def test_summary_single_edge_connects_when_n_equals_k():
@@ -179,15 +184,30 @@ def small_instances(draw):
     return sample_binomial(Params(k, j, n), p, seed)
 
 
-@given(small_instances())
+def apply_in_mode(uf, h, mode):
+    """Apply h's edges one at a time, as one batch, or half each way."""
+    half = h.m // 2
+    if mode == "apply_edge":
+        return sum(uf.apply_edge(e) for e in h.edges)
+    if mode == "apply_edges":
+        return uf.apply_edges(h.array)
+    if mode == "batch-then-edges":
+        return uf.apply_edges(h.array[:half]) + sum(uf.apply_edge(e) for e in h.edges[half:])
+    return sum(uf.apply_edge(e) for e in h.edges[:half]) + uf.apply_edges(h.array[half:])
+
+
+@pytest.mark.parametrize("mode", ["apply_edge", "apply_edges", "batch-then-edges", "edges-then-batch"])
+@given(h=small_instances())
 @settings(max_examples=40)
-def test_dsu_equals_bfs_oracle(h):
+def test_dsu_equals_bfs_oracle(mode, h):
     uf = JSetUnionFind(h.params)
-    for e in h.edges:
-        uf.apply_edge(e)
-    assert partition_of(uf, h.params) == sorted(
-        bfs_components(h), key=lambda c: sorted(c)
-    )
+    unions = apply_in_mode(uf, h, mode)
+    oracle = sorted(bfs_components(h), key=lambda c: sorted(c))
+    assert partition_of(uf, h.params) == oracle
+    assert unions == h.params.num_jsets - uf.num_sets_remaining
+    assert uf.edges_applied == h.m
+    assert uf.touched_count == sum(map(len, oracle))
+    assert uf.summary() == component_summary(h)
 
 
 @given(small_instances())
@@ -239,6 +259,16 @@ def test_largest_component_tie_breaks_to_smallest_rank():
     members = largest_component_jsets(h)
     assert members == [(1, 2), (1, 3), (2, 3)]
     assert rank_jset(members[0], h.params) == 0
+
+
+def test_static_census_never_replays_edges(monkeypatch):
+    def refuse(self, edge):
+        raise AssertionError("static census must not replay edges one at a time")
+
+    h = sample_binomial(Params(3, 2, 12), 0.2, 5)
+    expected = (component_summary(h), largest_component_jsets(h))
+    monkeypatch.setattr(JSetUnionFind, "apply_edge", refuse)
+    assert (component_summary(h), largest_component_jsets(h)) == expected
 
 
 def test_largest_component_empty_hypergraph():

@@ -3,12 +3,13 @@ import statistics
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase.combinatorics import binomial
-from hyperphase.errors import ValidationError
+from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.models import (
     EdgeStream,
     Hypergraph,
@@ -30,16 +31,24 @@ def test_hypergraph_canonicalizes_edge_order():
     b = Hypergraph(params, ((1, 2, 3), (2, 3, 4)))
     assert a == b
     assert a.edges == ((1, 2, 3), (2, 3, 4))
+    c = Hypergraph(params, np.array([[2, 3, 4], [1, 2, 3]]))
+    assert c == a and c.edges == a.edges
+    assert c.array.tolist() == [[1, 2, 3], [2, 3, 4]] and c.array.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        c.array[0, 0] = 5
 
 
 def test_hypergraph_rejects_bad_edges():
     params = Params(3, 2, 5)
-    with pytest.raises(ValidationError):
-        Hypergraph(params, ((3, 2, 1),))
-    with pytest.raises(ValidationError):
-        Hypergraph(params, ((1, 2, 3), (1, 2, 3)))
-    with pytest.raises(ValidationError):
-        Hypergraph(params, ((1, 2, 6),))
+    for form in (tuple, np.array):  # an array that fails a check names the fault the same way
+        with pytest.raises(ValidationError, match=r"edge \(3, 2, 1\) must be strictly increasing"):
+            Hypergraph(params, form(((3, 2, 1),)))
+        with pytest.raises(ValidationError, match=r"duplicate edge \(1, 2, 3\)"):
+            Hypergraph(params, form(((1, 2, 3), (2, 3, 4), (1, 2, 3))))
+        with pytest.raises(ValidationError, match=r"edge \(1, 2, 6\) has vertices outside \[1, 5\]"):
+            Hypergraph(params, form(((1, 2, 6),)))
+        with pytest.raises(ValidationError, match="vertices must be integers"):
+            Hypergraph(params, form(((1.2, 1.5, 3),)))
 
 
 def test_sample_binomial_extremes():
@@ -49,6 +58,16 @@ def test_sample_binomial_extremes():
     assert full.m == binomial(6, 3)
     with pytest.raises(ValidationError):
         sample_binomial(params, 1.5, 1)
+
+
+def test_samplers_guard_the_edge_count(monkeypatch):
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "50")
+    params = Params(3, 1, 30)  # 30 j-sets pass the cap; C(30, 3) = 4060 edges
+    assert sample_uniform(params, 50, 1).m == 50
+    with pytest.raises(ResourceLimitError, match="edge count m = 100 exceeds the guardrail cap 50"):
+        sample_uniform(params, 100, 1)
+    with pytest.raises(ResourceLimitError, match="guardrail cap 50"):
+        sample_binomial(params, 0.5, 1)
 
 
 def test_sample_uniform_extremes():

@@ -23,10 +23,6 @@ GW_TOL = 1e-12
 GW_MAX_ITERATIONS = 10**6
 
 
-class RegimeAdvisory(UserWarning):
-    """Advisory: requested parameters sit outside the asymptotic regime."""
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """p_g: giant-emergence threshold; p_c: j-connectivity threshold."""
@@ -224,7 +220,10 @@ def gw_survival(params: Params, p: float) -> GWResult:
     q = 0.0
     for iteration in range(1, GW_MAX_ITERATIONS + 1):
         q_next = math.exp(lam * (q**batch - 1.0))
-        if abs(q_next - q) < GW_TOL:
+        # rate ~ the map's slope at the root, which nears 1 at criticality:
+        # the distance to the root is at most step * rate / (1 - rate)
+        rate = lam * batch * q_next**batch
+        if abs(q_next - q) * rate < GW_TOL * (1.0 - rate):
             return GWResult(lam, batch, mean_offspring, 1.0 - q_next, iteration)
         q = q_next
     raise ConvergenceError(
@@ -234,7 +233,7 @@ def gw_survival(params: Params, p: float) -> GWResult:
 
 
 def regime_advisories(params: Params, regime: RegimeParams) -> list[str]:
-    """Advisory warnings for parameters outside the asymptotic regime.
+    """Advisory notes for parameters outside the asymptotic regime.
 
     Checks are heuristic scale requirements; they never block a run.
     """

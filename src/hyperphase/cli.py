@@ -2,10 +2,10 @@
 
 Subcommands: sample, components, explore, sweep, hitting, degrees,
 connprobe, smooth, gw, thresholds.  Exit codes: 0 success, 1 validation
-error (including usage errors), 2 resource guardrail or arithmetic
-overflow.  Experiment subcommands write one row per trial (CSV by default,
-JSON with --format json) and print a short aggregate summary to stderr;
-single-result subcommands print a JSON object.
+error (including usage errors), 2 resource guardrail, arithmetic overflow
+or non-convergence.  Experiment subcommands write one row per trial (CSV
+by default, JSON with --format json) and print a short aggregate summary
+to stderr; single-result subcommands print a JSON object.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import RegimeAdvisory, gw_survival, thresholds
+from .analysis import gw_survival, regime_advisories, thresholds
 from .components import bfs_explore, component_summary
-from .errors import ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentConfig,
     run_connectivity_probe,
@@ -81,7 +80,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text, notes = _run(args)
-    except (ResourceLimitError, OverflowError, MemoryError) as exc:
+    except (ResourceLimitError, OverflowError, MemoryError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -127,17 +126,10 @@ def _render_table(table: ResultTable, args: argparse.Namespace) -> str:
     return write_csv(table)
 
 
-def _advised(runner, cfg: ExperimentConfig):
-    """``runner(cfg)`` and, as notes, each distinct regime advisory it
-    raised, in first-seen order; other warnings pass through."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RegimeAdvisory)
-        result = runner(cfg)
-    for w in caught:
-        if not issubclass(w.category, RegimeAdvisory):
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    notes = [f"advisory: {w.message}" for w in caught if issubclass(w.category, RegimeAdvisory)]
-    return result, list(dict.fromkeys(notes))
+def _advisory_notes(cfg: ExperimentConfig, regimes) -> list[str]:
+    """Each distinct regime advisory over `regimes` as a note, in first-seen order."""
+    notes = [f"advisory: {msg}" for r in regimes for msg in regime_advisories(cfg.params, r)]
+    return list(dict.fromkeys(notes))
 
 
 def _cmd_thresholds(args) -> tuple[str, list[str]]:
@@ -223,7 +215,7 @@ def _cmd_explore(args) -> tuple[str, list[str]]:
 
 def _cmd_sweep(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
-    points, advisories = _advised(run_phase_sweep, cfg)
+    points = run_phase_sweep(cfg)
     total = cfg.params.num_jsets
     table = ResultTable(
         ["eps", "p", "trial", "seed", "largest", "second",
@@ -242,6 +234,7 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
             f"eps={pt.eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
+    advisories = _advisory_notes(cfg, [replace(cfg.regime, eps=eps) for eps in cfg.eps_grid])
     return _render_table(table, args), notes + advisories
 
 
@@ -285,7 +278,7 @@ def _cmd_connprobe(args) -> tuple[str, list[str]]:
 
 def _cmd_smooth(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
-    trials, advisories = _advised(run_smoothness_probe, cfg)
+    trials = run_smoothness_probe(cfg)
     table = ResultTable(
         ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
          "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
@@ -301,7 +294,7 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
             )
     flagged = sum(tr.flagged for tr in trials)
     notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
-    return _render_table(table, args), notes + advisories
+    return _render_table(table, args), notes + _advisory_notes(cfg, [cfg.regime])
 
 
 _HANDLERS = {

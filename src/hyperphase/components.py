@@ -23,7 +23,7 @@ from .combinatorics import Edge, JSet, canonical_rows, colex_key, colex_unrank, 
 from .combinatorics import jset_ranks, sub_jsets, validate_subset
 from .errors import ResourceLimitError, ValidationError
 from .models import Hypergraph
-from .params import Params, max_jsets_cap
+from .params import Params
 
 BFS_ORACLE_MAX_JSETS = 10_000
 
@@ -31,22 +31,18 @@ BFS_ORACLE_MAX_JSETS = 10_000
 class JSetUnionFind:
     """Union-find over the C(n, j) colex-ranked j-sets of [n].
 
-    Union by size with path compression; component sizes are maintained at
-    roots and counted in j-sets.  Single-writer: no concurrent mutation.
+    The one forest rule: no parent has a larger rank than its child, so
+    every root is the smallest rank of its component.  Path compression
+    keeps the rule.  Single-writer: no concurrent mutation.
     """
 
-    def __init__(self, params: Params, max_jsets: int | None = None):
-        cap = max_jsets_cap() if max_jsets is None else max_jsets
+    def __init__(self, params: Params):
+        params.check_jsets()
         total = params.num_jsets
-        if total > cap:
-            raise ResourceLimitError(
-                f"C(n={params.n}, j={params.j}) = {total} exceeds the guardrail cap {cap}"
-            )
         self.params = params
         self._j = params.j
         self._total = total
         self._parent = np.arange(total, dtype=np.int64)
-        self._size = np.ones(total, dtype=np.int64)
         self._touched = np.zeros(total, dtype=bool)
         self._touched_count = 0
         self._num_sets = total
@@ -89,11 +85,7 @@ class JSetUnionFind:
         rb = self.find(b)
         if ra == rb:
             return False
-        size = self._size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        size[ra] += size[rb]
+        self._parent[max(ra, rb)] = min(ra, rb)  # the forest rule
         self._num_sets -= 1
         return True
 
@@ -137,7 +129,6 @@ class JSetUnionFind:
             # edges that were split stay pending; compress keeps rows contiguous
             pending = pending.compress(low != roots.max(axis=0), axis=1)
         self._parent = labels
-        self._size = np.bincount(labels, minlength=self._total)
         before = self._num_sets
         self._num_sets = int(np.count_nonzero(labels == np.arange(self._total)))
         self._touched[ranks] = True
@@ -156,9 +147,9 @@ class JSetUnionFind:
         """Non-trivial components as frozensets of j-set ranks, ordered by
         their smallest rank."""
         touched, labels = self._touched_labels()
-        order = np.argsort(labels, kind="stable")
+        order = np.argsort(labels, kind="stable")  # labels are the smallest ranks
         bounds = np.flatnonzero(np.diff(labels[order])) + 1
-        groups = sorted(np.split(touched[order], bounds), key=lambda g: g[0]) if len(touched) else []
+        groups = np.split(touched[order], bounds) if len(touched) else []
         return [frozenset(g.tolist()) for g in groups]
 
     def largest_component_ranks(self) -> list[int]:
@@ -167,17 +158,17 @@ class JSetUnionFind:
         touched, labels = self._touched_labels()
         if not len(touched):
             return []
-        first = int(np.argmax(np.bincount(labels)[labels]))  # smallest rank in a largest component
-        return touched[labels == labels[first]].tolist()
+        root = np.argmax(np.bincount(labels))  # first maximum: ties go to the smallest rank
+        return touched[labels == root].tolist()
 
-    def summary(self, m: int | None = None) -> ComponentSummary:
+    def summary(self) -> ComponentSummary:
         _, labels = self._touched_labels()
         sizes = np.bincount(labels)
         sizes = np.sort(sizes[sizes > 0])[::-1].tolist()
         largest = sizes[0] if sizes else 0
         return ComponentSummary(
             params=self.params,
-            m=self._edges_applied if m is None else m,
+            m=self._edges_applied,
             largest=largest,
             second=sizes[1] if len(sizes) > 1 else 0,
             num_nontrivial=len(sizes),
@@ -235,7 +226,7 @@ def _union_find(h: Hypergraph) -> JSetUnionFind:
 
 def component_summary(h: Hypergraph) -> ComponentSummary:
     """Label every edge of `h` in a fresh union-find and report the census."""
-    return _union_find(h).summary(m=h.m)
+    return _union_find(h).summary()
 
 
 def largest_component_jsets(h: Hypergraph) -> list[JSet]:
@@ -244,7 +235,7 @@ def largest_component_jsets(h: Hypergraph) -> list[JSet]:
     return [colex_unrank(r, j, n) for r in _union_find(h).largest_component_ranks()]
 
 
-def bfs_components(h: Hypergraph, max_jsets: int = BFS_ORACLE_MAX_JSETS) -> list[frozenset[JSet]]:
+def bfs_components(h: Hypergraph) -> list[frozenset[JSet]]:
     """Reference component computation straight from the walk definition.
 
     Builds the graph whose nodes are edges, adjacent when they intersect in
@@ -253,9 +244,9 @@ def bfs_components(h: Hypergraph, max_jsets: int = BFS_ORACLE_MAX_JSETS) -> list
     union-find engine's exactly.
     """
     total = h.params.num_jsets
-    if total > max_jsets:
+    if total > BFS_ORACLE_MAX_JSETS:
         raise ResourceLimitError(
-            f"bfs_components is capped at {max_jsets} j-sets, instance has {total}"
+            f"bfs_components is capped at {BFS_ORACLE_MAX_JSETS} j-sets, instance has {total}"
         )
     j = h.params.j
     edges = h.edges

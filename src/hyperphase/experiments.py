@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .analysis import (
-    RegimeAdvisory,
     RegimeParams,
     SmoothnessReport,
     degree_profile,
@@ -24,7 +22,6 @@ from .analysis import (
     poisson_limit_rate,
     poisson_pmf,
     predicted_giant_fraction,
-    regime_advisories,
     smoothness_score,
     thresholds,
 )
@@ -174,13 +171,9 @@ class SmoothnessTrial:
     reports: dict[int, SmoothnessReport]
 
 
-def _warn_advisories(params: Params, regime: RegimeParams) -> None:
-    for msg in regime_advisories(params, regime):
-        warnings.warn(msg, RegimeAdvisory, stacklevel=3)
-
-
 def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Largest/second component sizes at p = (1 + eps) * p_g over a grid."""
+    cfg.params.check_jsets()
     if not cfg.eps_grid:
         raise ValidationError("phase sweep needs a nonempty eps_grid")
     params = cfg.params
@@ -188,7 +181,6 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     total = params.num_jsets
     points: list[SweepPoint] = []
     for eps in cfg.eps_grid:
-        _warn_advisories(params, replace(cfg.regime, eps=eps))
         p = (1.0 + eps) * p_g
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"p = (1 + {eps}) * p_g = {p} outside [0, 1]")
@@ -286,6 +278,7 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
     Above the threshold the hypergraph should be j-connected; below it,
     isolated j-sets should persist.
     """
+    cfg.params.check_jsets()
     params = cfg.params
     omega = cfg.require("omega")
     if omega <= 0:
@@ -318,13 +311,13 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
 def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     """Score how evenly the largest component covers ell-sets, at
     p = (1 + gamma) * p_g, for every ell in the config's ell_list."""
+    cfg.params.check_jsets()
     params = cfg.params
     gamma = cfg.require("gamma")
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
     if not cfg.ell_list:
         raise ValidationError("smoothness probe needs a nonempty ell_list")
-    _warn_advisories(params, cfg.regime)
     p = (1.0 + gamma) * thresholds(params).p_g
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]")

@@ -158,6 +158,7 @@ def _validate_probability(p: float, name: str) -> None:
 
 
 def _from_ranks(params: Params, ranks: list[int]) -> Hypergraph:
+    check_cap("vertex count n", params.n)  # colex_unrank_array tabulates C(v, i) for v < n
     return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
 
 

@@ -1,10 +1,10 @@
 """Problem parameters (k, j, n) and the memory guardrail.
 
-The guardrail (``check_cap``) caps C(n, j), the number of j-sets a dense
-engine would have to index, and the edge count of a sample.  It exists so
-oversized instances fail with a clear resource error instead of an
-allocator death spiral.  The cap defaults to 2*10^8
-and can be overridden via the HYPERPHASE_MAX_JSETS environment variable.
+The guardrail (``check_cap``) caps C(n, j), the number of j-sets the
+union-find engine indexes (``Params.check_jsets``), and the vertex and edge
+counts a sample's arrays scale with.  It exists so oversized instances fail
+with a clear resource error instead of an allocator death spiral.  The cap
+defaults to 2*10^8 and can be overridden via HYPERPHASE_MAX_JSETS.
 """
 
 from __future__ import annotations
@@ -57,7 +57,11 @@ class Params:
             raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={self.j}, k={self.k}")
         if self.n < self.k:
             raise ValidationError(f"n must satisfy n >= k, got n={self.n}, k={self.k}")
-        check_cap(f"C(n={self.n}, j={self.j})", binomial(self.n, self.j))
+
+    def check_jsets(self) -> None:
+        """The guardrail for a union-find over every j-set of [n]; the
+        experiments that build one also call it before their first draw."""
+        check_cap(f"C(n={self.n}, j={self.j})", self.num_jsets)
 
     @property
     def num_jsets(self) -> int:

@@ -192,6 +192,26 @@ def test_gw_known_fixed_point():
     assert res.survival == pytest.approx(0.79681213, abs=1e-6)
 
 
+def test_gw_converges_near_criticality():
+    # mean offspring 1 + 1e-4: the map's slope at the root is ~1 - 1e-4, so
+    # a step below GW_TOL still leaves the iterate ~1e-8 from the root.
+    # Independent oracle: bisection on s = -expm1(lam * expm1(batch * log1p(-s)))
+    params = Params(3, 2, 100)
+    p = thresholds(params).p_g * (1 + 1e-4)
+    lam, batch = 100 * p, 2
+
+    def excess(s):
+        return s + math.expm1(lam * math.expm1(batch * math.log1p(-s)))
+
+    lo, hi = 1e-12, 1.0  # excess(lo) < 0 < excess(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    res = gw_survival(params, p)
+    assert (res.offspring_rate, res.batch) == pytest.approx((lam, batch))
+    assert abs(res.survival - lo) < 1e-11
+
+
 def test_gw_survival_close_to_predicted_fraction():
     # first-order agreement of the fixed point with 2*eps/(C(k,j)-1)
     params = Params(3, 2, 1000)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import hyperphase.analysis
+import hyperphase.experiments
 from hyperphase.cli import _HANDLERS, cli_dispatch
 from hyperphase.hgio import parse_config
 
@@ -222,12 +224,31 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     path = tmp_path / "in.hg"
     path.write_text(TWO_EDGE_FILE, encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
-    assert code == 2 and "guardrail" in err
-    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "50")  # 30 j-sets fit, ~2030 edges do not
+    assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err
+    # formula commands allocate nothing per j-set, so the same cap passes them
     cfg = tmp_path / "c.txt"
+    cfg.write_text("k=3\nj=2\nn=4\ntrials=1\neps_grid=0.5\n", encoding="utf-8")
+    assert run(capsys, ["thresholds", "--config", str(cfg)])[0] == 0
+    assert run(capsys, ["gw", "--config", str(cfg), "--p", "0.5"])[0] == 0
+
+    def no_draw(*args):
+        raise AssertionError("the guardrail must refuse before the first draw")
+
+    monkeypatch.setattr(hyperphase.experiments, "sample_binomial", no_draw)
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "50")  # 30 j-sets fit, ~2030 edges do not
     cfg.write_text("k=3\nj=1\nn=30\n", encoding="utf-8")
     code, out, err = run(capsys, ["sample", "--config", str(cfg), "--p", "0.5"])
     assert code == 2 and "edge count" in err and out == ""
+
+
+def test_exit_code_non_convergence(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hyperphase.analysis, "GW_MAX_ITERATIONS", 3)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=2\nj=1\nn=100\neps=1.0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["gw", "--config", str(cfg)])
+    assert code == 2 and err.startswith("error: ") and "did not converge" in err and out == ""
 
 
 def test_exit_code_overflow(tmp_path, capsys):
@@ -244,25 +265,41 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
-def test_regime_advisories_become_notes(tmp_path):
-    # both eps points raise the same two advisories; the CLI prints each
-    # once as a note instead of a warning pointing at its own source
+# command, config, the advisory notes it prints, SHA-256 of its stdout.
+# Both sweep eps points raise the same two advisories; each is printed once.
+ADVISORY_CASES = {
+    "sweep": (
+        "k=3\nj=2\nn=40\ntrials=2\neps_grid=-0.2,0.2\n",
+        [
+            "advisory: eps^3 * n^j = 12.8 < 100: sweep regime is marginal",
+            "advisory: eps^2 * n^(1-2*delta) = 0.253 < 100: sweep regime is marginal",
+        ],
+        "2f517f3cf09c4e529d4598f0c9bc8e4c60869b90d95cad898dbc3df3e2b10ca2",
+    ),
+    "smooth": (
+        "k=3\nj=2\nn=30\ntrials=2\ngamma=0.5\nell_list=1\n",
+        ["advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal"],
+        "aaa6a732070e94565f4fe24c0658516f038bb7e03f2229a596e65dda61cfe1e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ADVISORY_CASES))
+def test_regime_advisories_become_notes(command, tmp_path):
+    # a fresh interpreter: no warning filter of the test run applies
+    config, expected, digest = ADVISORY_CASES[command]
     cfg = tmp_path / "c.txt"
-    cfg.write_text("k=3\nj=2\nn=40\ntrials=2\neps_grid=-0.2,0.2\n", encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "hyperphase", "sweep", "--config", str(cfg)],
+        [sys.executable, "-m", "hyperphase", command, "--config", str(cfg)],
         capture_output=True, text=True, env=env, check=True,
     )
     advisories = [line for line in proc.stderr.splitlines() if "regime is marginal" in line]
-    assert advisories == [
-        "advisory: eps^3 * n^j = 12.8 < 100: sweep regime is marginal",
-        "advisory: eps^2 * n^(1-2*delta) = 0.253 < 100: sweep regime is marginal",
-    ]
-    assert "run_phase_sweep(" not in proc.stderr and "RegimeAdvisory" not in proc.stderr
-    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
-    assert digest == "2f517f3cf09c4e529d4598f0c9bc8e4c60869b90d95cad898dbc3df3e2b10ca2"
+    assert advisories == expected
+    assert ".py" not in proc.stderr and "RegimeAdvisory" not in proc.stderr  # no warning output
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
 # SHA-256 of stdout for each command at a tiny config.  "{cfg}" is the

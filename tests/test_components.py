@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -51,9 +52,21 @@ def test_dsu_new_sizes():
     assert JSetUnionFind(Params(4, 3, 10)).num_sets_remaining == binomial(10, 3)
 
 
-def test_dsu_guardrail():
-    with pytest.raises(ResourceLimitError, match="cap"):
-        JSetUnionFind(Params(3, 2, 30), max_jsets=100)
+def test_dsu_guardrail(monkeypatch):
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "100")
+    with pytest.raises(ResourceLimitError, match=r"C\(n=30, j=2\) = 435 exceeds the guardrail cap 100"):
+        JSetUnionFind(Params(3, 2, 30))
+
+
+def test_dsu_footprint_per_jset():
+    params = Params(3, 2, 300)  # 44,850 j-sets: an int64 parent and a bool touched flag each
+    tracemalloc.start()
+    try:
+        JSetUnionFind(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / params.num_jsets <= 10
 
 
 def test_apply_edge_merges_and_is_idempotent():
@@ -127,8 +140,8 @@ def test_bfs_components_empty_and_complete():
 
 
 def test_bfs_components_guardrail():
-    with pytest.raises(ResourceLimitError):
-        bfs_components(Hypergraph(Params(3, 2, 10)), max_jsets=40)
+    with pytest.raises(ResourceLimitError, match="capped at 10000 j-sets, instance has 11175"):
+        bfs_components(Hypergraph(Params(3, 2, 150)))
 
 
 def test_bfs_explore_hand_traced():
@@ -204,6 +217,9 @@ def test_dsu_equals_bfs_oracle(mode, h):
     unions = apply_in_mode(uf, h, mode)
     oracle = sorted(bfs_components(h), key=lambda c: sorted(c))
     assert partition_of(uf, h.params) == oracle
+    parts = uf.partition()
+    assert all(uf.find(min(c)) == min(c) for c in parts)  # every root is its smallest rank
+    assert [min(c) for c in parts] == sorted(min(c) for c in parts)
     assert unions == h.params.num_jsets - uf.num_sets_remaining
     assert uf.edges_applied == h.m
     assert uf.touched_count == sum(map(len, oracle))

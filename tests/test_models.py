@@ -68,6 +68,8 @@ def test_samplers_guard_the_edge_count(monkeypatch):
         sample_uniform(params, 100, 1)
     with pytest.raises(ResourceLimitError, match="guardrail cap 50"):
         sample_binomial(params, 0.5, 1)
+    with pytest.raises(ResourceLimitError, match="vertex count n = 60 exceeds the guardrail cap 50"):
+        sample_binomial(Params(3, 1, 60), 0.0, 1)
 
 
 def test_sample_uniform_extremes():

@@ -1,5 +1,6 @@
 import pytest
 
+from hyperphase.components import JSetUnionFind
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.params import DEFAULT_MAX_JSETS, MAX_JSETS_ENV, Params, max_jsets_cap
 
@@ -29,10 +30,11 @@ def test_guardrail_default_cap():
 def test_guardrail_env_override(monkeypatch):
     monkeypatch.setenv(MAX_JSETS_ENV, "10")
     assert max_jsets_cap() == 10
-    with pytest.raises(ResourceLimitError, match="guardrail"):
-        Params(3, 2, 10)  # C(10, 2) = 45 > 10
+    params = Params(3, 2, 10)  # a bare Params allocates nothing, so it checks no cap
+    with pytest.raises(ResourceLimitError, match=r"C\(n=10, j=2\) = 45 exceeds the guardrail cap 10"):
+        JSetUnionFind(params)
     monkeypatch.setenv(MAX_JSETS_ENV, "45")
-    Params(3, 2, 10)
+    assert JSetUnionFind(params).num_sets_remaining == 45
 
 
 def test_guardrail_env_must_be_positive_int(monkeypatch):

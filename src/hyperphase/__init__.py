@@ -22,17 +22,16 @@ from .analysis import (
     thresholds,
 )
 from .combinatorics import (
+    DEFAULT_MAX_JSETS,
+    MAX_JSETS_ENV,
     binomial,
     canonical_rows,
-    colex_key,
     colex_rank,
     colex_unrank,
     colex_unrank_array,
     jset_rank_array,
     jset_ranks,
-    rank_jset,
-    sub_jsets,
-    unrank_jset,
+    max_jsets_cap,
     validate_subset,
 )
 from .components import (
@@ -77,6 +76,6 @@ from .models import (
     second_round_probability,
     trial_seed,
 )
-from .params import DEFAULT_MAX_JSETS, MAX_JSETS_ENV, Params, max_jsets_cap
+from .params import Params
 
 __version__ = "0.1.0"

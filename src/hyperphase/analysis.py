@@ -10,17 +10,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import JSet, binomial, colex_unrank, jset_rank_array, validate_subset
+from .combinatorics import JSet, binomial, canonical_array, check_cap, jset_rank_array
 from .errors import ConvergenceError, ValidationError
 from .models import Hypergraph
 from .params import Params
 
 GW_TOL = 1e-12
-GW_MAX_ITERATIONS = 10**6
+GW_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def poisson_pmf(lam: float, i: int) -> float:
 
 
 def smoothness_score(
-    members: list[JSet] | tuple[JSet, ...],
+    members: np.ndarray | Sequence[JSet],
     ell: int,
     params: Params,
     sample_cap: int = 10**6,
@@ -157,40 +157,43 @@ def smoothness_score(
 ) -> SmoothnessReport:
     """Uniformity of ell-set coverage across a family S of j-sets.
 
+    `members` holds S as the rows of an (|S|, j) integer array, such as
+    ``largest_component_jsets`` returns, or as a list of j-set tuples.
     For each ell-set L, deg(L) = #{J in S : L subset of J} is compared to
     the flat-coverage value (|S| / C(n,j)) * C(n, j-ell); the report gives
     the max and mean relative deviation.  All C(n, ell) ell-sets are scored
     unless that exceeds sample_cap, in which case a seeded uniform sample
-    is scored and the report's `sampled` flag is set.
+    is scored and the report's `sampled` flag is set.  Deviations are
+    summed in lexicographic order of the ell-sets on the full path and in
+    ascending colex rank on the sampled one.
     """
     j, n = params.j, params.n
     if not 0 <= ell < j:
         raise ValidationError(f"ell must satisfy 0 <= ell < j, got ell={ell}, j={j}")
-    family = [validate_subset(s, j, n, "j-set") for s in members]
-    if not family:
-        raise ValidationError("smoothness_score needs a nonempty family of j-sets")
-
-    coverage: dict[tuple[int, ...], int] = {}
-    for s in family:
-        for L in combinations(s, ell):
-            coverage[L] = coverage.get(L, 0) + 1
+    family = canonical_array(members, j, n)
+    if family is None:
+        raise ValidationError(f"smoothness_score needs a nonempty family of j-sets on [{n}]")
+    total_ellsets = binomial(n, ell)
+    check_cap("ell-sets scored", min(total_ellsets, sample_cap))
 
     expected = len(family) / binomial(n, j) * binomial(n, j - ell)
-    total_ellsets = binomial(n, ell)
     if total_ellsets <= sample_cap:
         sampled = False
-        degs = (coverage.get(L, 0) for L in combinations(range(1, n + 1), ell))
-        devs = [abs(d / expected - 1.0) for d in degs]
+        # lexicographic order is descending colex order of the mirror images
+        # v -> n + 1 - v, so count the mirrored family and read it backwards
+        mirrored = jset_rank_array(n + 1 - family[:, ::-1], ell, n)
+        degs = np.bincount(mirrored.ravel(), minlength=total_ellsets)[::-1]
     else:
         sampled = True
         rng = random.Random(seed)
         picked: set[int] = set()
         while len(picked) < sample_cap:
             picked.add(rng.randrange(total_ellsets))
-        devs = [
-            abs(coverage.get(colex_unrank(r, ell, n), 0) / expected - 1.0)
-            for r in sorted(picked)
-        ]
+        ranks, counts = np.unique(jset_rank_array(family, ell, n), return_counts=True)
+        picked_ranks = np.array(sorted(picked), dtype=np.int64)
+        at = np.searchsorted(ranks, picked_ranks).clip(max=len(ranks) - 1)
+        degs = np.where(ranks[at] == picked_ranks, counts[at], 0)
+    devs = np.abs(degs / expected - 1.0).tolist()
     return SmoothnessReport(
         ell=ell,
         subset_size=len(family),
@@ -205,10 +208,14 @@ def gw_survival(params: Params, p: float) -> GWResult:
     """Survival probability of the branching approximation to exploration.
 
     One active j-set sees Poisson(lam) fresh edges, lam = C(n, k-j) * p,
-    each contributing batch = C(k,j) - 1 new j-sets, so extinction solves
-    q = exp(lam * (q^batch - 1)).  Iterating from q0 = 0 converges to the
-    smallest root, i.e. the true extinction probability.  Survival is 0
-    exactly when the mean offspring batch * lam is at most 1.
+    each contributing batch = C(k,j) - 1 new j-sets, so survival solves
+    s = F(s) = 1 - exp(-lam * (1 - (1 - s)^batch)).  Survival is 0 exactly
+    when the mean offspring batch * lam is at most 1; above that, F(s) - s
+    is concave with one positive root, and Newton's method from F(1), which
+    lies above it, decreases monotonically onto it in tens of steps even
+    where the plain fixed-point map's slope at the root nears 1.  F is
+    evaluated through log1p and expm1 so survivals near 0 keep their
+    relative precision.
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
@@ -217,18 +224,17 @@ def gw_survival(params: Params, p: float) -> GWResult:
     mean_offspring = batch * lam
     if mean_offspring <= 1.0:
         return GWResult(lam, batch, mean_offspring, 0.0, 0)
-    q = 0.0
+    s = -math.expm1(-lam)
     for iteration in range(1, GW_MAX_ITERATIONS + 1):
-        q_next = math.exp(lam * (q**batch - 1.0))
-        # rate ~ the map's slope at the root, which nears 1 at criticality:
-        # the distance to the root is at most step * rate / (1 - rate)
-        rate = lam * batch * q_next**batch
-        if abs(q_next - q) * rate < GW_TOL * (1.0 - rate):
-            return GWResult(lam, batch, mean_offspring, 1.0 - q_next, iteration)
-        q = q_next
+        e = lam * math.expm1(batch * math.log1p(-s) if s < 1.0 else -math.inf)  # log(1 - F(s))
+        slope = math.exp(e) * lam * batch * (1.0 - s) ** (batch - 1)  # F'(s)
+        s_next = s - (-math.expm1(e) - s) / (slope - 1.0)
+        if s - s_next <= GW_TOL * s_next:  # or rounding stopped the descent
+            return GWResult(lam, batch, mean_offspring, max(s_next, 0.0), iteration)
+        s = s_next
     raise ConvergenceError(
-        f"extinction fixed point did not converge after {GW_MAX_ITERATIONS} iterations "
-        f"(lam={lam}, batch={batch}, last q={q})"
+        f"survival root did not converge after {GW_MAX_ITERATIONS} Newton steps "
+        f"(lam={lam}, batch={batch}, last s={s})"
     )
 
 

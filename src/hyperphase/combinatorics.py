@@ -9,20 +9,30 @@ dense in [0, C(n, r)), which makes them directly usable as array indices.
 Results are exact integers but capped at the 64-bit range: anything larger
 raises OverflowError instead of silently producing values that no dense
 index array could hold.
+
+The guardrail (``check_cap``) caps the length of every dense array sized by
+such a count: C(n, j), the number of j-sets the union-find engine indexes
+(``Params.check_jsets``), the vertex count n of a binomial column, the rank
+count of ``jset_rank_array``, and a sample's edge count.  It exists so
+oversized instances fail with a clear resource error instead of an
+allocator death spiral.  The cap defaults to 2*10^8 and can be overridden
+via HYPERPHASE_MAX_JSETS.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import os
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
-if TYPE_CHECKING:
-    from .params import Params
+DEFAULT_MAX_JSETS = 200_000_000
+MAX_JSETS_ENV = "HYPERPHASE_MAX_JSETS"
 
 VertexId = int
 JSet = tuple[int, ...]
@@ -44,9 +54,27 @@ def binomial(n: int, r: int) -> int:
     return value
 
 
-def colex_key(s: Sequence[int]) -> tuple[int, ...]:
-    """Sort key realizing colex order: compare reversed tuples."""
-    return tuple(reversed(s))
+def max_jsets_cap() -> int:
+    """Current guardrail cap (env override wins)."""
+    raw = os.environ.get(MAX_JSETS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_JSETS
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValidationError(f"{MAX_JSETS_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValidationError(f"{MAX_JSETS_ENV} must be positive, got {cap}")
+    return cap
+
+
+def check_cap(what: str, count: int) -> None:
+    """The guardrail: fail fast when `count` items would pass the cap."""
+    cap = max_jsets_cap()
+    if count > cap:
+        raise ResourceLimitError(
+            f"{what} = {count} exceeds the guardrail cap {cap} (override with {MAX_JSETS_ENV})"
+        )
 
 
 def colex_rank(s: Sequence[int]) -> int:
@@ -97,7 +125,15 @@ def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
 def _binomial_column(i: int, n: int) -> np.ndarray:
     """C(v, i) for v in [0, n), saturated at INT64_MAX: it can pass 2^63 for
     i < k even when C(n, k) fits, but every entry a valid rank selects is <= it."""
-    return np.array([min(math.comb(v, i), INT64_MAX) for v in range(n)], dtype=np.int64)
+    check_cap("vertex count n", n)
+    col = np.ones(n, dtype=np.int64)
+    for t in range(1, i + 1):
+        # C(v, t) is the sum of C(u, t - 1) over u < v.  Entries before the
+        # first v with C(v, t) > INT64_MAX sum only exact entries (that v is at
+        # most one past the previous column's), and the rest are saturated.
+        col = np.concatenate((np.zeros(1, np.int64), np.cumsum(col[:-1])))
+        col[bisect.bisect_right(range(n), INT64_MAX, key=lambda v: math.comb(v, t)):] = INT64_MAX
+    return col
 
 
 def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> np.ndarray:
@@ -116,7 +152,8 @@ def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> 
 def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
     """jset_ranks of every row of an (m, k) array of canonical edges on [n],
     as an (m, C(k, j)) int64 array; rows unchecked."""
-    k = edges.shape[1]
+    m, k = edges.shape
+    check_cap(f"j-set rank count m * C(k={k}, j={j})", m * math.comb(k, j))
     # terms[i][p] = C(edges[:, p] - 1, i + 1): vertex p as a j-set's (i+1)-th
     terms = [_binomial_column(i + 1, n)[edges - 1].T for i in range(j)]
     out = np.empty((len(edges), math.comb(k, j)), dtype=np.int64)
@@ -135,6 +172,16 @@ def canonical_rows(edges: np.ndarray, size: int, n: int) -> bool:
     )
 
 
+def canonical_array(rows, size: int, n: int) -> np.ndarray | None:
+    """`rows` as an (m, size) int64 array if it is a non-empty integer array
+    of canonical subsets of [n], else None."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged rows
+        return None
+    return arr.astype(np.int64, copy=False) if arr.size and canonical_rows(arr, size, n) else None
+
+
 def validate_subset(s: Iterable[int], size: int, n: int, what: str = "subset") -> tuple[int, ...]:
     """Check canonical form: exactly `size` strictly increasing vertices in [1, n]."""
     t = tuple(s)
@@ -148,30 +195,3 @@ def validate_subset(s: Iterable[int], size: int, n: int, what: str = "subset") -
     if t and t[-1] > n:
         raise ValidationError(f"{what} {t} has vertices outside [1, {n}]")
     return t
-
-
-def rank_jset(s: Iterable[int], params: "Params") -> int:
-    """Dense index of a j-set in [0, C(n, j))."""
-    t = validate_subset(s, params.j, params.n, "j-set")
-    return colex_rank(t)
-
-
-def unrank_jset(rank: int, params: "Params") -> JSet:
-    """Inverse of rank_jset."""
-    total = binomial(params.n, params.j)
-    if not 0 <= rank < total:
-        raise ValidationError(f"j-set rank {rank} outside [0, {total})")
-    return colex_unrank(rank, params.j, params.n)
-
-
-def sub_jsets(e: Iterable[int], j: int) -> list[JSet]:
-    """All C(k, j) j-subsets of an edge, in colex order."""
-    t = tuple(e)
-    prev = 0
-    for v in t:
-        if v <= prev:
-            raise ValidationError(f"edge {t} must be strictly increasing with vertices >= 1")
-        prev = v
-    if not 1 <= j <= len(t) - 1:
-        raise ValidationError(f"j must satisfy 1 <= j <= {len(t) - 1}, got {j}")
-    return sorted(combinations(t, j), key=colex_key)

@@ -19,8 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import Edge, JSet, canonical_rows, colex_key, colex_unrank, jset_rank_array
-from .combinatorics import jset_ranks, sub_jsets, validate_subset
+from .combinatorics import Edge, JSet, canonical_rows, colex_rank, colex_unrank, colex_unrank_array
+from .combinatorics import jset_rank_array, jset_ranks, validate_subset
 from .errors import ResourceLimitError, ValidationError
 from .models import Hypergraph
 from .params import Params
@@ -152,14 +152,15 @@ class JSetUnionFind:
         groups = np.split(touched[order], bounds) if len(touched) else []
         return [frozenset(g.tolist()) for g in groups]
 
-    def largest_component_ranks(self) -> list[int]:
-        """Ranks of the largest component, ascending; ties broken towards
-        the component containing the smallest rank.  Empty if no edges."""
+    def largest_component_ranks(self) -> np.ndarray:
+        """Ranks of the largest component as an ascending int64 array; ties
+        broken towards the component containing the smallest rank.  Empty
+        if no edges."""
         touched, labels = self._touched_labels()
         if not len(touched):
-            return []
+            return touched
         root = np.argmax(np.bincount(labels))  # first maximum: ties go to the smallest rank
-        return touched[labels == root].tolist()
+        return touched[labels == root]
 
     def summary(self) -> ComponentSummary:
         _, labels = self._touched_labels()
@@ -229,10 +230,10 @@ def component_summary(h: Hypergraph) -> ComponentSummary:
     return _union_find(h).summary()
 
 
-def largest_component_jsets(h: Hypergraph) -> list[JSet]:
-    """All j-sets of the largest component, ascending by rank."""
-    j, n = h.params.j, h.params.n
-    return [colex_unrank(r, j, n) for r in _union_find(h).largest_component_ranks()]
+def largest_component_jsets(h: Hypergraph) -> np.ndarray:
+    """All j-sets of the largest component as the rows of a (|L1|, j) int64
+    array, ascending by colex rank; (0, j) if `h` has no edges."""
+    return colex_unrank_array(_union_find(h).largest_component_ranks(), h.params.j, h.params.n)
 
 
 def bfs_components(h: Hypergraph) -> list[frozenset[JSet]]:
@@ -269,13 +270,13 @@ def bfs_components(h: Hypergraph) -> list[frozenset[JSet]]:
         group: set[JSet] = set()
         while queue:
             e = queue.popleft()
-            group.update(sub_jsets(edges[e], j))
+            group.update(combinations(edges[e], j))
             for f in adj[e]:
                 if not assigned[f]:
                     assigned[f] = True
                     queue.append(f)
         components.append(frozenset(group))
-    return sorted(components, key=lambda c: min(map(colex_key, c)))
+    return sorted(components, key=lambda c: min(s[::-1] for s in c))  # colex order
 
 
 def bfs_explore(
@@ -284,45 +285,45 @@ def bfs_explore(
     """Explore the component of `start` generation by generation.
 
     Generation i+1 holds every unseen j-set lying in an edge together with
-    some generation-i j-set.  Stops after max_generations expansions (None
-    means unbounded) or when a generation comes up empty; `exhausted` tells
-    whether the whole component was discovered.
+    some generation-i j-set, ascending by colex rank.  Stops after
+    max_generations expansions (None means unbounded) or when a generation
+    comes up empty; `exhausted` tells whether the whole component was
+    discovered.  Works on the edges' j-set ranks: a generation is the
+    ranks in the unprocessed edges that hold a frontier rank, minus the
+    frontier's; the edges are found by binary search in the ranks sorted
+    once, so the cost is linear in the component, not in generations x m.
     """
-    params = h.params
-    j = params.j
-    start = validate_subset(start, j, params.n, "j-set")
+    j, n = h.params.j, h.params.n
+    start = validate_subset(start, j, n, "j-set")
     if max_generations is not None and max_generations < 0:
         raise ValueError(f"max_generations must be >= 0, got {max_generations}")
 
-    index: dict[JSet, list[int]] = {}
-    for ei, e in enumerate(h.edges):
-        for s in combinations(e, j):
-            index.setdefault(s, []).append(ei)
+    ranks = jset_rank_array(h.array, j, n)  # row per edge
+    order = np.argsort(ranks.ravel(), kind="stable")
+    sorted_ranks, edge_of = ranks.ravel()[order], order // ranks.shape[1]
+    processed = np.zeros(len(ranks), dtype=bool)
 
-    seen: set[JSet] = {start}
-    processed: set[int] = set()
+    def expand(frontier: np.ndarray) -> np.ndarray:
+        lo = np.searchsorted(sorted_ranks, frontier, "left")
+        count = np.searchsorted(sorted_ranks, frontier, "right") - lo
+        # positions of the runs of sorted_ranks equal to a frontier rank
+        runs = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        hit = np.unique(edge_of[runs])
+        hit = hit[~processed[hit]]
+        processed[hit] = True
+        # an edge is first hit by the earliest generation it meets, so its
+        # other j-sets can only be in that generation or new
+        return np.setdiff1d(ranks[hit], frontier)  # sorted: colex order
 
-    def expand(frontier: tuple[JSet, ...]) -> tuple[JSet, ...]:
-        out: list[JSet] = []
-        for s in frontier:
-            for ei in index.get(s, ()):
-                if ei in processed:
-                    continue
-                processed.add(ei)
-                for t in combinations(h.edges[ei], j):
-                    if t not in seen:
-                        seen.add(t)
-                        out.append(t)
-        return tuple(sorted(out, key=colex_key))
-
-    generations: list[tuple[JSet, ...]] = [(start,)]
+    generations = [np.array([colex_rank(start)], dtype=np.int64)]
     exhausted = False
     while max_generations is None or len(generations) - 1 < max_generations:
         nxt = expand(generations[-1])
-        if not nxt:
+        if not len(nxt):
             exhausted = True
             break
         generations.append(nxt)
     if not exhausted:
-        exhausted = not expand(generations[-1])  # peek one generation further
-    return ExplorationRecord(start=start, generations=tuple(generations), exhausted=exhausted)
+        exhausted = not len(expand(generations[-1]))  # peek one generation further
+    gens = tuple(tuple(colex_unrank(r, j, n) for r in gen.tolist()) for gen in generations)
+    return ExplorationRecord(start=start, generations=gens, exhausted=exhausted)

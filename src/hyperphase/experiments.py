@@ -325,7 +325,7 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     for t in range(cfg.trials):
         seed = trial_seed(cfg.base_seed, t)
         members = largest_component_jsets(sample_binomial(params, p, seed))
-        if not members:
+        if not len(members):
             out.append(SmoothnessTrial(t, seed, True, 0, {}))
             continue
         reports = {

@@ -33,9 +33,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import Edge, canonical_rows, colex_unrank, colex_unrank_array, validate_subset
+from .combinatorics import Edge, canonical_array, check_cap, colex_unrank, colex_unrank_array
+from .combinatorics import validate_subset
 from .errors import ValidationError
-from .params import Params, check_cap
+from .params import Params
 
 _NORMAL = NormalDist()
 _BIG_POPULATION = 2**53
@@ -62,7 +63,7 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         k, n = self.params.k, self.params.n
-        arr = _edge_array(self.edges, k, n)
+        arr = canonical_array(self.edges, k, n)
         if arr is None:  # per-edge checks name the fault
             edges = self.edges.tolist() if isinstance(self.edges, np.ndarray) else self.edges
             arr = np.array([validate_subset(e, k, n, "edge") for e in edges]).reshape(-1, k)
@@ -126,7 +127,7 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
     check_cap("edge count m", M)
     rng = random.Random(seed)
     ranks = _draw_distinct_ranks(rng, total, M)
-    return _from_ranks(params, ranks)
+    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
 
 
 def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
@@ -137,7 +138,7 @@ def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
     m = _draw_binomial_count(rng, total, p)
     check_cap("edge count m", m)
     ranks = _draw_distinct_ranks(rng, total, m)
-    return _from_ranks(params, ranks)
+    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
 
 
 def second_round_probability(p: float, p0: float) -> float:
@@ -155,21 +156,6 @@ def second_round_probability(p: float, p0: float) -> float:
 def _validate_probability(p: float, name: str) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"{name}={p} outside [0, 1]")
-
-
-def _from_ranks(params: Params, ranks: list[int]) -> Hypergraph:
-    check_cap("vertex count n", params.n)  # colex_unrank_array tabulates C(v, i) for v < n
-    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
-
-
-def _edge_array(edges, k: int, n: int) -> np.ndarray | None:
-    """`edges` as an (m, k) int64 array if it is a non-empty integer array
-    of canonical rows, else None."""
-    try:
-        arr = np.asarray(edges)
-    except ValueError:  # ragged rows
-        return None
-    return arr.astype(np.int64, copy=False) if arr.size and canonical_rows(arr, k, n) else None
 
 
 def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> list[int]:

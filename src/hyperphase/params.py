@@ -1,45 +1,15 @@
-"""Problem parameters (k, j, n) and the memory guardrail.
+"""Problem parameters (k, j, n).
 
-The guardrail (``check_cap``) caps C(n, j), the number of j-sets the
-union-find engine indexes (``Params.check_jsets``), and the vertex and edge
-counts a sample's arrays scale with.  It exists so oversized instances fail
-with a clear resource error instead of an allocator death spiral.  The cap
-defaults to 2*10^8 and can be overridden via HYPERPHASE_MAX_JSETS.
+``Params.check_jsets`` applies the guardrail (``combinatorics.check_cap``)
+to C(n, j), the number of j-sets the union-find engine indexes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .combinatorics import binomial
-from .errors import ResourceLimitError, ValidationError
-
-DEFAULT_MAX_JSETS = 200_000_000
-MAX_JSETS_ENV = "HYPERPHASE_MAX_JSETS"
-
-
-def max_jsets_cap() -> int:
-    """Current guardrail cap (env override wins)."""
-    raw = os.environ.get(MAX_JSETS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_JSETS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"{MAX_JSETS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"{MAX_JSETS_ENV} must be positive, got {cap}")
-    return cap
-
-
-def check_cap(what: str, count: int) -> None:
-    """The guardrail: fail fast when `count` items would pass the cap."""
-    cap = max_jsets_cap()
-    if count > cap:
-        raise ResourceLimitError(
-            f"{what} = {count} exceeds the guardrail cap {cap} (override with {MAX_JSETS_ENV})"
-        )
+from .combinatorics import binomial, check_cap
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)

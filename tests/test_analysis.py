@@ -1,12 +1,15 @@
 import math
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase.analysis import (
     RegimeParams,
+    SmoothnessReport,
     degree_profile,
     degree_regime_p,
     gw_survival,
@@ -17,8 +20,9 @@ from hyperphase.analysis import (
     smoothness_score,
     thresholds,
 )
+from hyperphase.combinatorics import binomial, colex_unrank, validate_subset
 from hyperphase.components import component_summary
-from hyperphase.errors import ValidationError
+from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.models import Hypergraph, sample_binomial
 from hyperphase.params import Params
 
@@ -116,6 +120,61 @@ def test_poisson_pmf_sums_to_one(lam):
     assert abs(total - 1.0) < 1e-9
 
 
+def smoothness_oracle(members, ell, params, sample_cap=10**6, *, seed=0):
+    """Reference scorer: ell-set coverage counted in a dict over
+    ``combinations``, deviations summed in the same orders."""
+    j, n = params.j, params.n
+    family = [validate_subset(s, j, n, "j-set") for s in members]
+    coverage = {}
+    for s in family:
+        for L in combinations(s, ell):
+            coverage[L] = coverage.get(L, 0) + 1
+    expected = len(family) / binomial(n, j) * binomial(n, j - ell)
+    total_ellsets = binomial(n, ell)
+    if total_ellsets <= sample_cap:
+        degs = [coverage.get(L, 0) for L in combinations(range(1, n + 1), ell)]
+    else:
+        rng = random.Random(seed)
+        picked = set()
+        while len(picked) < sample_cap:
+            picked.add(rng.randrange(total_ellsets))
+        degs = [coverage.get(colex_unrank(r, ell, n), 0) for r in sorted(picked)]
+    devs = [abs(d / expected - 1.0) for d in degs]
+    return SmoothnessReport(
+        ell, len(family), expected, max(devs), sum(devs) / len(devs), total_ellsets > sample_cap
+    )
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_smoothness_equals_dict_oracle(data):
+    # j >= 3 separates lexicographic from colex order of the ell-sets
+    j = data.draw(st.integers(3, 5))
+    n = data.draw(st.integers(j + 1, j + 6))
+    params = Params(j + 1, j, n)
+    all_jsets = list(combinations(range(1, n + 1), j))
+    family = data.draw(st.lists(st.sampled_from(all_jsets), min_size=1, max_size=15))
+    seed = data.draw(st.integers(0, 100))
+    for ell in range(j):
+        total = binomial(n, ell)
+        for cap in {10**6, data.draw(st.integers(1, total))}:
+            expected = smoothness_oracle(family, ell, params, cap, seed=seed)
+            assert smoothness_score(family, ell, params, cap, seed=seed) == expected
+            assert smoothness_score(np.array(family), ell, params, cap, seed=seed) == expected
+
+
+def test_smoothness_guards_the_scored_ellsets(monkeypatch):
+    params = Params(4, 3, 10)
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "20")
+    with pytest.raises(ResourceLimitError, match="ell-sets scored = 45 exceeds the guardrail cap 20"):
+        smoothness_score([(1, 2, 3)], 2, params)
+    assert smoothness_score([(1, 2, 3)], 2, params, sample_cap=20).sampled
+    monkeypatch.delenv("HYPERPHASE_MAX_JSETS")
+    # refused before a single ell-set is drawn
+    with pytest.raises(ResourceLimitError, match="ell-sets scored = 10000000000 exceeds"):
+        smoothness_score([(1, 2, 3)], 2, Params(4, 3, 10**6), sample_cap=10**10)
+
+
 def test_smoothness_complete_family():
     n = 150
     params = Params(3, 2, n)
@@ -193,23 +252,24 @@ def test_gw_known_fixed_point():
 
 
 def test_gw_converges_near_criticality():
-    # mean offspring 1 + 1e-4: the map's slope at the root is ~1 - 1e-4, so
-    # a step below GW_TOL still leaves the iterate ~1e-8 from the root.
+    # mean offspring 1 + eps: the fixed-point map's slope at the root is
+    # ~1 - eps, so plain iteration creeps (1e-4) or gives up (1e-8).
     # Independent oracle: bisection on s = -expm1(lam * expm1(batch * log1p(-s)))
     params = Params(3, 2, 100)
-    p = thresholds(params).p_g * (1 + 1e-4)
-    lam, batch = 100 * p, 2
+    for eps in (1e-4, 1e-8):
+        p = thresholds(params).p_g * (1 + eps)
+        lam, batch = 100 * p, 2
 
-    def excess(s):
-        return s + math.expm1(lam * math.expm1(batch * math.log1p(-s)))
+        def excess(s):
+            return s + math.expm1(lam * math.expm1(batch * math.log1p(-s)))
 
-    lo, hi = 1e-12, 1.0  # excess(lo) < 0 < excess(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
-    res = gw_survival(params, p)
-    assert (res.offspring_rate, res.batch) == pytest.approx((lam, batch))
-    assert abs(res.survival - lo) < 1e-11
+        lo, hi = 1e-12, 1.0  # excess(lo) < 0 < excess(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+        res = gw_survival(params, p)
+        assert (res.offspring_rate, res.batch) == pytest.approx((lam, batch))
+        assert abs(res.survival - lo) < 1e-13 and res.iterations < 50, eps
 
 
 def test_gw_survival_close_to_predicted_fraction():

@@ -225,11 +225,26 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     path.write_text(TWO_EDGE_FILE, encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err
+    code, _, err = run(capsys, ["explore", str(path), "--start", "1,2"])
+    assert code == 2 and "j-set rank count m * C(k=3, j=2) = 6 exceeds" in err
     # formula commands allocate nothing per j-set, so the same cap passes them
     cfg = tmp_path / "c.txt"
     cfg.write_text("k=3\nj=2\nn=4\ntrials=1\neps_grid=0.5\n", encoding="utf-8")
     assert run(capsys, ["thresholds", "--config", str(cfg)])[0] == 0
     assert run(capsys, ["gw", "--config", str(cfg), "--p", "0.5"])[0] == 0
+
+    # rank arrays: 435 j-sets fit the cap, ~290 edges' 3 ranks each do not
+    smooth = tmp_path / "s.txt"
+    smooth.write_text("k=3\nj=2\nn=30\ntrials=1\ngamma=3\nell_list=1\n", encoding="utf-8")
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "435")
+    code, out, err = run(capsys, ["smooth", "--config", str(smooth)])
+    assert code == 2 and "j-set rank count" in err and out == ""
+    # scored ell-sets: C(5, 4) = 5 j-sets and 5 ranks fit, C(5, 2) = 10 ell-sets do not
+    smooth.write_text("k=5\nj=4\nn=5\ntrials=1\ngamma=19\nell_list=2\n", encoding="utf-8")
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "9")
+    code, out, err = run(capsys, ["smooth", "--config", str(smooth)])
+    assert code == 2 and "ell-sets scored = 10 exceeds the guardrail cap 9" in err and out == ""
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "5")
 
     def no_draw(*args):
         raise AssertionError("the guardrail must refuse before the first draw")

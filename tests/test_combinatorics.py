@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,20 +8,16 @@ from hypothesis import strategies as st
 
 from hyperphase.combinatorics import (
     INT64_MAX,
+    _binomial_column,
     binomial,
-    colex_key,
     colex_rank,
     colex_unrank,
     colex_unrank_array,
     jset_rank_array,
     jset_ranks,
-    rank_jset,
-    sub_jsets,
-    unrank_jset,
     validate_subset,
 )
-from hyperphase.errors import ValidationError
-from hyperphase.params import Params
+from hyperphase.errors import ResourceLimitError, ValidationError
 
 
 def pascal_table(n_max):
@@ -69,17 +66,17 @@ def test_binomial_overflow_is_loud():
 
 
 def test_rank_examples():
-    assert rank_jset((1, 2), Params(3, 2, 5)) == 0
-    assert rank_jset((1, 2, 3), Params(4, 3, 6)) == 0
+    assert colex_rank((1, 2)) == 0
+    assert colex_rank((1, 2, 3)) == 0
     # oracle: full colex enumeration of 2-subsets of [4]
     enum = colex_enumeration(4, 2)
     assert enum.index((3, 4)) == 5
-    assert rank_jset((3, 4), Params(3, 2, 4)) == 5
+    assert colex_rank((3, 4)) == 5
 
 
 def test_unrank_examples():
-    assert unrank_jset(0, Params(3, 2, 5)) == (1, 2)
-    assert unrank_jset(5, Params(3, 2, 4)) == (3, 4)
+    assert colex_unrank(0, 2, 5) == (1, 2)
+    assert colex_unrank(5, 2, 4) == (3, 4)
 
 
 def test_rank_matches_enumeration_oracle():
@@ -92,26 +89,20 @@ def test_rank_matches_enumeration_oracle():
 def test_round_trip_all_3_subsets_of_8():
     seen = set()
     for rank in range(binomial(8, 3)):
-        s = unrank_jset(rank, Params(4, 3, 8))
-        assert rank_jset(s, Params(4, 3, 8)) == rank
+        s = colex_unrank(rank, 3, 8)
+        assert colex_rank(validate_subset(s, 3, 8)) == rank
         seen.add(s)
     assert len(seen) == 56
 
 
 def test_rank_validation_errors():
-    params = Params(3, 2, 6)
+    for bad in ((1, 2, 3), (2, 2), (2, 1), (5, 7)):  # length, duplicate, order, range
+        with pytest.raises(ValidationError):
+            validate_subset(bad, 2, 6)
+    with pytest.raises(ValidationError, match="out of range"):
+        colex_unrank(15, 2, 6)  # C(6,2) = 15
     with pytest.raises(ValidationError):
-        rank_jset((1, 2, 3), params)  # wrong length
-    with pytest.raises(ValidationError):
-        rank_jset((2, 2), params)  # duplicate
-    with pytest.raises(ValidationError):
-        rank_jset((2, 1), params)  # not increasing
-    with pytest.raises(ValidationError):
-        rank_jset((5, 7), params)  # out of range
-    with pytest.raises(ValidationError):
-        unrank_jset(15, params)  # C(6,2) = 15
-    with pytest.raises(ValidationError):
-        unrank_jset(-1, params)
+        colex_unrank(-1, 2, 6)
 
 
 @st.composite
@@ -125,9 +116,9 @@ def subset_with_params(draw):
 @given(subset_with_params())
 def test_rank_unrank_round_trip(case):
     s, j, n = case
-    params = Params(j + 1, j, n)
-    rank = rank_jset(s, params)
-    assert unrank_jset(rank, params) == s
+    rank = colex_rank(s)
+    assert 0 <= rank < binomial(n, j)
+    assert colex_unrank(rank, j, n) == s
     ranks = [0, rank, binomial(n, j) - 1]
     assert colex_unrank_array(ranks, j, n).tolist() == [list(colex_unrank(r, j, n)) for r in ranks]
 
@@ -139,6 +130,21 @@ def test_array_kernels_saturate_without_overflow():
     row = colex_unrank_array([last], k, n)
     assert row.tolist() == [list(range(6, 71))] == [list(colex_unrank(last, k, n))]
     assert jset_rank_array(row, 64, n).tolist() == [jset_ranks(tuple(range(6, 71)), 64)]
+    # every column, saturated ones included, against math.comb
+    for m in (2, 5, 33, 69, 70, 71):
+        for i in range(min(m, 70) + 1):
+            col = [min(math.comb(v, i), INT64_MAX) for v in range(m)]
+            assert _binomial_column(i, m).tolist() == col, (i, m)
+
+
+def test_rank_kernels_guard_their_allocations(monkeypatch):
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "20")
+    with pytest.raises(ResourceLimitError, match="vertex count n = 21"):
+        colex_unrank_array([0], 2, 21)
+    rows = np.array([(1, 2, 3)] * 7)
+    assert jset_rank_array(rows[:6], 2, 20).shape == (6, 3)
+    with pytest.raises(ResourceLimitError, match=r"j-set rank count m \* C\(k=3, j=2\) = 21"):
+        jset_rank_array(rows, 2, 20)
 
 
 @given(subset_with_params(), subset_with_params())
@@ -147,49 +153,31 @@ def test_colex_monotonicity(a, b):
     t, j2, _ = b
     if j != j2 or s == t:
         return
-    assert (colex_key(s) < colex_key(t)) == (colex_rank(s) < colex_rank(t))
+    assert (s[::-1] < t[::-1]) == (colex_rank(s) < colex_rank(t))
 
 
-def test_sub_jsets_examples():
-    assert sub_jsets((1, 2, 3), 2) == [(1, 2), (1, 3), (2, 3)]
-    assert sub_jsets((1, 2, 3, 4), 1) == [(1,), (2,), (3,), (4,)]
+def test_jset_ranks_examples():
+    # combinations order, not colex order: lex order puts (1, 4) before (2, 3)
+    assert jset_ranks((1, 2, 3, 4), 2) == [0, 1, 3, 2, 4, 5]
+    assert jset_ranks((1, 2, 3, 4), 1) == [0, 1, 2, 3]
     # brute-force subset filter oracle
     edge = (2, 4, 5, 7)
-    expected = sorted(
-        (s for s in combinations(range(1, 8), 3) if set(s) <= set(edge)),
-        key=lambda t: t[::-1],
-    )
-    assert sub_jsets(edge, 3) == expected
+    expected = [s for s in combinations(range(1, 8), 3) if set(s) <= set(edge)]
+    assert jset_ranks(edge, 3) == [colex_rank(s) for s in expected]
     assert len(expected) == 4
 
 
-def test_sub_jsets_colex_order_differs_from_lex():
-    # lex order would put (1, 4) before (2, 3)
-    assert sub_jsets((1, 2, 3, 4), 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
-
-
 @given(st.integers(2, 7), st.data())
-def test_sub_jsets_properties(k, data):
+def test_jset_ranks_properties(k, data):
     n = data.draw(st.integers(k, k + 8))
     edge = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
     j = data.draw(st.integers(1, k - 1))
-    subs = sub_jsets(edge, j)
-    assert len(subs) == binomial(k, j)
-    assert len(set(subs)) == len(subs)
-    assert all(set(s) <= set(edge) for s in subs)
-    assert subs == sorted(subs, key=colex_key)
-    assert [colex_unrank(r, j, n) for r in jset_ranks(edge, j)] == list(combinations(edge, j))
+    ranks = jset_ranks(edge, j)
+    assert len(ranks) == len(set(ranks)) == binomial(k, j)
+    assert all(0 <= r < binomial(n, j) for r in ranks)
+    assert [colex_unrank(r, j, n) for r in ranks] == list(combinations(edge, j))
     rows = [edge, tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1))]
     assert jset_rank_array(np.array(rows), j, n).tolist() == [jset_ranks(e, j) for e in rows]
-
-
-def test_sub_jsets_validation():
-    with pytest.raises(ValidationError):
-        sub_jsets((3, 2, 1), 2)
-    with pytest.raises(ValidationError):
-        sub_jsets((1, 2, 3), 3)
-    with pytest.raises(ValidationError):
-        sub_jsets((1, 2, 3), 0)
 
 
 def test_validate_subset_reports_what():
@@ -200,12 +188,11 @@ def test_validate_subset_reports_what():
 def test_bijection_for_medium_sizes():
     # every rank maps to a distinct valid subset and back, C(n, j) <= 1e5
     for n, j in ((30, 1), (25, 2), (20, 3), (14, 5)):
-        params = Params(j + 1, j, n)
         total = binomial(n, j)
         seen = set()
         rows = colex_unrank_array(range(total), j, n).tolist()
         for rank in range(total):
-            s = unrank_jset(rank, params)
+            s = colex_unrank(rank, j, n)
             validate_subset(s, j, n)
             assert colex_rank(s) == rank
             assert rows[rank] == list(s)

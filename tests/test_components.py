@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperphase.combinatorics import binomial, colex_unrank, rank_jset
+from hyperphase.combinatorics import binomial, colex_rank, colex_unrank
 from hyperphase.components import (
     JSetUnionFind,
     bfs_components,
@@ -197,6 +197,24 @@ def small_instances(draw):
     return sample_binomial(Params(k, j, n), p, seed)
 
 
+@given(small_instances(), st.data())
+@settings(max_examples=40)
+def test_explore_generations_partition_the_component(h, data):
+    j, n = h.params.j, h.params.n
+    start = colex_unrank(data.draw(st.integers(0, h.params.num_jsets - 1)), j, n)
+    rec = bfs_explore(h, start)
+    seen = set()
+    for gen in rec.generations:
+        ranks = [colex_rank(s) for s in gen]
+        assert ranks == sorted(set(ranks))  # ascending colex rank, no repeats
+        assert not seen & set(gen)
+        seen |= set(gen)
+    component = next((c for c in bfs_components(h) if start in c), {start})
+    assert rec.exhausted and seen == set(component)
+    g = data.draw(st.integers(0, len(rec.generations)))
+    assert bfs_explore(h, start, g).generations == rec.generations[: g + 1]
+
+
 def apply_in_mode(uf, h, mode):
     """Apply h's edges one at a time, as one batch, or half each way."""
     half = h.m // 2
@@ -273,8 +291,9 @@ def test_largest_component_tie_breaks_to_smallest_rank():
     # two components of size 3; {1,2} has the smallest rank
     h = Hypergraph(Params(3, 2, 6), ((4, 5, 6), (1, 2, 3)))
     members = largest_component_jsets(h)
-    assert members == [(1, 2), (1, 3), (2, 3)]
-    assert rank_jset(members[0], h.params) == 0
+    assert members.dtype == np.int64
+    assert members.tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert colex_rank(tuple(members[0].tolist())) == 0
 
 
 def test_static_census_never_replays_edges(monkeypatch):
@@ -282,10 +301,12 @@ def test_static_census_never_replays_edges(monkeypatch):
         raise AssertionError("static census must not replay edges one at a time")
 
     h = sample_binomial(Params(3, 2, 12), 0.2, 5)
-    expected = (component_summary(h), largest_component_jsets(h))
+    summary, members = component_summary(h), largest_component_jsets(h)
     monkeypatch.setattr(JSetUnionFind, "apply_edge", refuse)
-    assert (component_summary(h), largest_component_jsets(h)) == expected
+    assert component_summary(h) == summary
+    assert np.array_equal(largest_component_jsets(h), members) and len(members) == summary.largest
 
 
 def test_largest_component_empty_hypergraph():
-    assert largest_component_jsets(Hypergraph(Params(3, 2, 5))) == []
+    members = largest_component_jsets(Hypergraph(Params(3, 2, 5)))
+    assert members.shape == (0, 2) and members.dtype == np.int64

@@ -1,8 +1,9 @@
 import pytest
 
+from hyperphase.combinatorics import DEFAULT_MAX_JSETS, MAX_JSETS_ENV, max_jsets_cap
 from hyperphase.components import JSetUnionFind
 from hyperphase.errors import ResourceLimitError, ValidationError
-from hyperphase.params import DEFAULT_MAX_JSETS, MAX_JSETS_ENV, Params, max_jsets_cap
+from hyperphase.params import Params
 
 
 def test_valid_params():

@@ -167,6 +167,29 @@ def test_jset_ranks_examples():
     assert len(expected) == 4
 
 
+def colex_sub_jsets(edge, j):
+    """The j-subsets of an edge in colex order, read back from their ranks."""
+    return [colex_unrank(r, j, edge[-1]) for r in sorted(jset_ranks(edge, j))]
+
+
+def test_sub_jsets_examples():
+    assert colex_sub_jsets((1, 2, 3), 2) == [(1, 2), (1, 3), (2, 3)]
+    assert colex_sub_jsets((1, 2, 3, 4), 1) == [(1,), (2,), (3,), (4,)]
+    # brute-force subset filter oracle
+    edge = (2, 4, 5, 7)
+    expected = sorted(
+        (s for s in combinations(range(1, 8), 3) if set(s) <= set(edge)),
+        key=lambda t: t[::-1],
+    )
+    assert colex_sub_jsets(edge, 3) == expected
+    assert len(expected) == 4
+
+
+def test_sub_jsets_colex_order_differs_from_lex():
+    # lex order would put (1, 4) before (2, 3)
+    assert colex_sub_jsets((1, 2, 3, 4), 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+
+
 @given(st.integers(2, 7), st.data())
 def test_jset_ranks_properties(k, data):
     n = data.draw(st.integers(k, k + 8))

@@ -12,7 +12,7 @@ index array could hold.
 
 The guardrail (``check_cap``) caps the length of every dense array sized by
 such a count: C(n, j), the number of j-sets the union-find engine indexes
-(``Params.check_jsets``), the vertex count n of a binomial column, the rank
+(``Params.check_jsets``), the vertex count n of a binomial table, the rank
 count of ``jset_rank_array``, and a sample's edge count.  It exists so
 oversized instances fail with a clear resource error instead of an
 allocator death spiral.  The cap defaults to 2*10^8 and can be overridden
@@ -122,30 +122,32 @@ def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _binomial_column(i: int, n: int) -> np.ndarray:
-    """C(v, i) for v in [0, n), saturated at INT64_MAX: it can pass 2^63 for
-    i < k even when C(n, k) fits, but every entry a valid rank selects is <= it."""
+def _binomial_columns(i: int, n: int) -> np.ndarray:
+    """C(v, t) at row t in [0, i], column v in [0, n), saturated at INT64_MAX:
+    it can pass 2^63 for t < k even when C(n, k) fits, but every entry a
+    valid rank selects is <= it."""
     check_cap("vertex count n", n)
-    col = np.ones(n, dtype=np.int64)
+    cols = np.ones((i + 1, n), dtype=np.int64)
     for t in range(1, i + 1):
         # C(v, t) is the sum of C(u, t - 1) over u < v.  Entries before the
         # first v with C(v, t) > INT64_MAX sum only exact entries (that v is at
-        # most one past the previous column's), and the rest are saturated.
-        col = np.concatenate((np.zeros(1, np.int64), np.cumsum(col[:-1])))
-        col[bisect.bisect_right(range(n), INT64_MAX, key=lambda v: math.comb(v, t)):] = INT64_MAX
-    return col
+        # most one past the previous row's), and the rest are saturated.
+        cols[t, :1] = 0
+        np.cumsum(cols[t - 1, :-1], out=cols[t, 1:])
+        cols[t, bisect.bisect_right(range(n), INT64_MAX, key=lambda v: math.comb(v, t)):] = INT64_MAX
+    return cols
 
 
 def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> np.ndarray:
     """colex_unrank of every rank, as an (m, size) int64 array; ranks must lie
     in [0, C(n, size)), unchecked."""
     r = np.array(ranks, dtype=np.int64)
+    cols = _binomial_columns(size, n)
     out = np.empty((len(r), size), dtype=np.int64)
     for i in range(size, 0, -1):
-        col = _binomial_column(i, n)
-        v = np.searchsorted(col, r, side="right") - 1
+        v = np.searchsorted(cols[i], r, side="right") - 1
         out[:, i - 1] = v + 1
-        r -= col[v]
+        r -= cols[i, v]
     return out
 
 
@@ -155,7 +157,7 @@ def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
     m, k = edges.shape
     check_cap(f"j-set rank count m * C(k={k}, j={j})", m * math.comb(k, j))
     # terms[i][p] = C(edges[:, p] - 1, i + 1): vertex p as a j-set's (i+1)-th
-    terms = [_binomial_column(i + 1, n)[edges - 1].T for i in range(j)]
+    terms = _binomial_columns(j, n)[1:, edges.T - 1]
     out = np.empty((len(edges), math.comb(k, j)), dtype=np.int64)
     for c, sub in enumerate(combinations(range(k), j)):
         out[:, c] = sum(terms[i][p] for i, p in enumerate(sub))

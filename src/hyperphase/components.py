@@ -288,42 +288,44 @@ def bfs_explore(
     some generation-i j-set, ascending by colex rank.  Stops after
     max_generations expansions (None means unbounded) or when a generation
     comes up empty; `exhausted` tells whether the whole component was
-    discovered.  Works on the edges' j-set ranks: a generation is the
-    ranks in the unprocessed edges that hold a frontier rank, minus the
-    frontier's; the edges are found by binary search in the ranks sorted
-    once, so the cost is linear in the component, not in generations x m.
+    discovered.  Walks an index from each j-set rank to the edges holding
+    it: one pass over the edges builds it, the walk is linear in the
+    component, and memory grows with the edges whatever n.  Ranks are exact
+    Python integers, so C(n, j) past the int64 range is fine.
     """
     j, n = h.params.j, h.params.n
     start = validate_subset(start, j, n, "j-set")
     if max_generations is not None and max_generations < 0:
         raise ValueError(f"max_generations must be >= 0, got {max_generations}")
 
-    ranks = jset_rank_array(h.array, j, n)  # row per edge
-    order = np.argsort(ranks.ravel(), kind="stable")
-    sorted_ranks, edge_of = ranks.ravel()[order], order // ranks.shape[1]
-    processed = np.zeros(len(ranks), dtype=bool)
+    edge_ranks = [jset_ranks(e, j) for e in h.edges]
+    index: dict[int, list[int]] = {}
+    for ei, ranks in enumerate(edge_ranks):
+        for r in ranks:
+            index.setdefault(r, []).append(ei)
+    first = colex_rank(start)
+    seen = {first}
+    processed = [False] * len(edge_ranks)
 
-    def expand(frontier: np.ndarray) -> np.ndarray:
-        lo = np.searchsorted(sorted_ranks, frontier, "left")
-        count = np.searchsorted(sorted_ranks, frontier, "right") - lo
-        # positions of the runs of sorted_ranks equal to a frontier rank
-        runs = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        hit = np.unique(edge_of[runs])
-        hit = hit[~processed[hit]]
-        processed[hit] = True
-        # an edge is first hit by the earliest generation it meets, so its
-        # other j-sets can only be in that generation or new
-        return np.setdiff1d(ranks[hit], frontier)  # sorted: colex order
+    def expand(frontier: list[int]) -> list[int]:
+        out: list[int] = []
+        for r in frontier:
+            for ei in index.get(r, ()):
+                if not processed[ei]:
+                    processed[ei] = True
+                    out.extend(t for t in edge_ranks[ei] if t not in seen)
+                    seen.update(edge_ranks[ei])
+        return sorted(out)  # colex order
 
-    generations = [np.array([colex_rank(start)], dtype=np.int64)]
+    generations = [[first]]
     exhausted = False
     while max_generations is None or len(generations) - 1 < max_generations:
         nxt = expand(generations[-1])
-        if not len(nxt):
+        if not nxt:
             exhausted = True
             break
         generations.append(nxt)
     if not exhausted:
-        exhausted = not len(expand(generations[-1]))  # peek one generation further
-    gens = tuple(tuple(colex_unrank(r, j, n) for r in gen.tolist()) for gen in generations)
+        exhausted = not expand(generations[-1])  # peek one generation further
+    gens = tuple(tuple(colex_unrank(r, j, n) for r in gen) for gen in generations)
     return ExplorationRecord(start=start, generations=gens, exhausted=exhausted)

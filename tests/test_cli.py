@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,24 @@ def test_explore(capsys, tmp_path):
     assert record["generations"] == [[[1, 2]], [[1, 3], [2, 3]], [[2, 4], [3, 4]]]
     assert record["boundary"] == [[2, 4], [3, 4]]
     assert record["exhausted"] is True
+
+
+def test_explore_ranks_past_int64(capsys, tmp_path):
+    # C(10^5, 5) > 2^63: j-sets holding vertex 99999 or 100000 have ranks no
+    # int64 holds, and the start (1, 2, 3, 4, 5) has rank 0
+    path = tmp_path / "in.hg"
+    path.write_text("6 100000 2\n1 2 3 4 5 99999\n1 2 3 4 99999 100000\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["explore", str(path), "--start", "1,2,3,4,5"])
+    assert code == 0
+    edges = [(1, 2, 3, 4, 5, 99999), (1, 2, 3, 4, 99999, 100000)]
+    seen = {(1, 2, 3, 4, 5)}
+    generations = [[[1, 2, 3, 4, 5]]]
+    for e in edges:  # each edge adds one generation, in colex order
+        new = sorted((s for s in combinations(e, 5) if s not in seen), key=lambda s: s[::-1])
+        seen.update(new)
+        generations.append([list(s) for s in new])
+    record = json.loads(out)
+    assert record["generations"] == generations and record["exhausted"] is True
 
 
 def test_explore_rejects_csv(capsys, tmp_path):
@@ -225,9 +244,8 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     path.write_text(TWO_EDGE_FILE, encoding="utf-8")
     code, _, err = run(capsys, ["components", str(path), "--j", "2"])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err
-    code, _, err = run(capsys, ["explore", str(path), "--start", "1,2"])
-    assert code == 2 and "j-set rank count m * C(k=3, j=2) = 6 exceeds" in err
-    # formula commands allocate nothing per j-set, so the same cap passes them
+    # explore and the formula commands allocate nothing per j-set, so the same cap passes them
+    assert run(capsys, ["explore", str(path), "--start", "1,2"])[0] == 0
     cfg = tmp_path / "c.txt"
     cfg.write_text("k=3\nj=2\nn=4\ntrials=1\neps_grid=0.5\n", encoding="utf-8")
     assert run(capsys, ["thresholds", "--config", str(cfg)])[0] == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hyperphase.combinatorics import (
     INT64_MAX,
-    _binomial_column,
+    _binomial_columns,
     binomial,
     colex_rank,
     colex_unrank,
@@ -132,9 +132,9 @@ def test_array_kernels_saturate_without_overflow():
     assert jset_rank_array(row, 64, n).tolist() == [jset_ranks(tuple(range(6, 71)), 64)]
     # every column, saturated ones included, against math.comb
     for m in (2, 5, 33, 69, 70, 71):
-        for i in range(min(m, 70) + 1):
-            col = [min(math.comb(v, i), INT64_MAX) for v in range(m)]
-            assert _binomial_column(i, m).tolist() == col, (i, m)
+        top = min(m, 70)
+        rows = [[min(math.comb(v, i), INT64_MAX) for v in range(m)] for i in range(top + 1)]
+        assert _binomial_columns(top, m).tolist() == rows, m
 
 
 def test_rank_kernels_guard_their_allocations(monkeypatch):

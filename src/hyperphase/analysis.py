@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import JSet, binomial, canonical_array, check_cap, jset_rank_array
 from .errors import ConvergenceError, ValidationError
-from .models import Hypergraph
+from .models import Hypergraph, first_distinct_ranks
 from .params import Params
 
 GW_TOL = 1e-12
@@ -185,12 +185,8 @@ def smoothness_score(
         degs = np.bincount(mirrored.ravel(), minlength=total_ellsets)[::-1]
     else:
         sampled = True
-        rng = random.Random(seed)
-        picked: set[int] = set()
-        while len(picked) < sample_cap:
-            picked.add(rng.randrange(total_ellsets))
+        picked_ranks = np.sort(first_distinct_ranks(random.Random(seed), total_ellsets, sample_cap))
         ranks, counts = np.unique(jset_rank_array(family, ell, n), return_counts=True)
-        picked_ranks = np.array(sorted(picked), dtype=np.int64)
         at = np.searchsorted(ranks, picked_ranks).clip(max=len(ranks) - 1)
         degs = np.where(ranks[at] == picked_ranks, counts[at], 0)
     devs = np.abs(degs / expected - 1.0).tolist()

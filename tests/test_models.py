@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 from collections import Counter
 from itertools import combinations
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from hyperphase.combinatorics import binomial
 from hyperphase.errors import ResourceLimitError, ValidationError
+from hyperphase import models
 from hyperphase.models import (
     EdgeStream,
     Hypergraph,
+    first_distinct_ranks,
     process_stream,
     sample_binomial,
     sample_uniform,
@@ -36,6 +39,18 @@ def test_hypergraph_canonicalizes_edge_order():
     assert c.array.tolist() == [[1, 2, 3], [2, 3, 4]] and c.array.dtype == np.int64
     with pytest.raises(ValueError, match="read-only"):
         c.array[0, 0] = 5
+
+
+def test_hypergraph_edge_tuples_are_built_on_first_read():
+    params = Params(3, 2, 5)
+    h = Hypergraph(params, np.array([[2, 3, 4], [1, 2, 3]]))
+    assert h.m == 2 and "_edge_tuples" not in vars(h)
+    assert h.edges == ((1, 2, 3), (2, 3, 4)) and h.edges is h.edges
+    assert h == Hypergraph(params, ((1, 2, 3), (2, 3, 4)))
+    assert hash(h) == hash(Hypergraph(params, ((2, 3, 4), (1, 2, 3))))
+    assert Hypergraph(params).edges == () and Hypergraph(params).m == 0
+    with pytest.raises(AttributeError):
+        h.edges = ()
 
 
 def test_hypergraph_rejects_bad_edges():
@@ -209,3 +224,108 @@ def test_stream_attributes():
     assert stream.seed == 9 and stream.position == 0
     next(stream)
     assert stream.position == 1
+
+
+def scalar_first_distinct(rng, total, count):
+    """The rejection loop ``first_distinct_ranks`` replays."""
+    drawn, out = set(), []
+    while len(out) < count:
+        r = rng.randrange(total)
+        if r not in drawn:
+            drawn.add(r)
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 10**12, 2**63 - 1])
+def test_rank_replay_matches_randrange_loop(total):
+    for seed in (0, 1, 2024):
+        for count in sorted({min(c, total) for c in (0, 1, 2, 3, 40, 700)}):
+            replay, loop = random.Random(seed), random.Random(seed)
+            ranks = first_distinct_ranks(replay, total, count)
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == scalar_first_distinct(loop, total, count)
+            assert replay.getstate() == loop.getstate()
+            assert replay.random() == loop.random()
+
+
+def test_rank_replay_spans_batches_near_a_full_draw():
+    # 95 of 100 values: later batches must skip values kept by earlier ones
+    replay, loop = random.Random(7), random.Random(7)
+    assert first_distinct_ranks(replay, 100, 95).tolist() == scalar_first_distinct(loop, 100, 95)
+    assert replay.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("total", [7, 100, 4099])
+def test_complement_rank_draw_matches_randrange_loop(total):
+    for seed in range(3):
+        for count in (total // 2, total // 2 + 1, total - 1, total):
+            drawn, loop = random.Random(seed), random.Random(seed)
+            ranks = models._draw_distinct_ranks(drawn, total, count)
+            if count > total // 2:
+                excluded = set(scalar_first_distinct(loop, total, total - count))
+                expected = [r for r in range(total) if r not in excluded]
+            else:
+                expected = scalar_first_distinct(loop, total, count)
+            assert ranks.dtype == np.int64 and ranks.tolist() == expected
+            assert drawn.getstate() == loop.getstate()
+
+
+def scalar_log_cdfs(n_trials, p, steps):
+    """log CDF(0..steps) by the scalar loop's own recurrence."""
+    log_odds = math.log(p) - math.log1p(-p)
+    log_pmf = n_trials * math.log1p(-p)
+    out = [log_pmf]
+    for m in range(steps):
+        log_pmf += log_odds + math.log(n_trials - m) - math.log(m + 1)
+        out.append(models._logaddexp(out[-1], log_pmf))
+    return out
+
+
+def test_binomial_inversion_replay_matches_scalar_loop():
+    rs = np.random.default_rng(11)
+    decided = 0
+    for i in range(600):
+        n_trials = int(10 ** rs.uniform(0, 6))
+        p = float(10 ** rs.uniform(-6, math.log10(0.5)))
+        log_u = math.log(random.Random(i).random())
+        m = models._inversion_crossing(log_u, n_trials, p)
+        assert m is None or m == models._scalar_inversion(log_u, n_trials, p)
+        decided += m is not None
+    assert decided >= 590  # the scalar fallback is the exception
+
+
+def test_binomial_count_draw_matches_scalar_path(monkeypatch):
+    cases = [(161_700, 0.12), (551_300, 0.0036), (1000, 0.7), (40, 0.999), (10**6, 3e-7)]
+    fast = {
+        (n, p, s): models._draw_binomial_count(random.Random(s), n, p) for n, p in cases for s in range(40)
+    }
+    monkeypatch.setattr(models, "_inversion_crossing", lambda log_u, n_trials, p: None)
+    for (n, p, s), m in fast.items():  # p > 0.5 draws n - Binomial(n, 1 - p)
+        assert m == models._draw_binomial_count(random.Random(s), n, p)
+
+
+def test_binomial_inversion_on_a_cdf_value_falls_back():
+    # log_u placed exactly on the loop's log CDF(m): np.log's drift could
+    # put it on either side, so the replay declines and the loop decides
+    n_trials, p, m = 161_700, 0.12, 19_404
+    log_u = scalar_log_cdfs(n_trials, p, m)[m]
+    assert models._inversion_crossing(log_u, n_trials, p) is None
+    assert models._scalar_inversion(log_u, n_trials, p) == m
+    assert models._inversion_crossing(log_u - 1e-3, n_trials, p) == models._scalar_inversion(
+        log_u - 1e-3, n_trials, p
+    )
+
+
+def test_binomial_inversion_tail_break():
+    # in floats log CDF levels off just below 0 here, so the largest u the
+    # generator gives runs the loop past the mean until log pmf < -745;
+    # that level is within the drift bound, so the loop decides
+    n_trials, p = 1000, 0.2
+    log_u = math.log1p(-(2.0**-53))
+    assert scalar_log_cdfs(n_trials, p, 800)[-1] < log_u
+    m = models._scalar_inversion(log_u, n_trials, p)
+    assert m > 200 + 40 * math.sqrt(160)
+    assert models._inversion_crossing(log_u, n_trials, p) is None
+    # a level above every CDF value reaches the replay's own tail test
+    assert models._inversion_crossing(1e-6, n_trials, p) == models._scalar_inversion(1e-6, n_trials, p) == m

@@ -61,10 +61,6 @@ class JSetUnionFind:
         return self._touched_count
 
     @property
-    def untouched_count(self) -> int:
-        return self._total - self._touched_count
-
-    @property
     def is_j_connected(self) -> bool:
         return self._num_sets == 1
 

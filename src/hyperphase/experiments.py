@@ -10,9 +10,12 @@ trial index either way.
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analysis import (
     RegimeParams,
@@ -25,10 +28,10 @@ from .analysis import (
     smoothness_score,
     thresholds,
 )
-from .combinatorics import binomial
+from .combinatorics import binomial, check_cap, colex_unrank_array, jset_rank_array
 from .components import JSetUnionFind, component_summary, largest_component_jsets
 from .errors import ValidationError
-from .models import process_stream, sample_binomial, trial_seed
+from .models import first_distinct_ranks, sample_binomial, trial_seed
 from .params import Params
 
 
@@ -203,27 +206,56 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
 
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
-    """Consume the edge process until j-connectivity, tracking both hitting
-    times in a single pass (one union-find plus the touched flags)."""
+    """Both hitting times of the edge process, each trial from one prefix of
+    it drawn as arrays: ``first_distinct_ranks`` on the trial's generator
+    gives the ranks ``process_stream`` (the scalar reference) yields, in its
+    order.  The prefix starts at C(n, k) * (j ln n + 3) / C(n, k - j) edges,
+    past the connectivity threshold, and is redrawn twice as long while it
+    ends before T_c.  Ranks drawn past T_c are discarded, which keeps the RNG
+    contract: no other trial reads that generator."""
     params = cfg.params
+    params.check_jsets()
+    total = params.num_ksets
+    start = math.ceil(total * (params.j * math.log(params.n) + 3.0) / binomial(params.n, params.k - params.j))
     records: list[HittingRecord] = []
     for t in range(cfg.trials):
         seed = trial_seed(cfg.base_seed, t)
-        stream = process_stream(params, seed)
-        uf = JSetUnionFind(params)
-        t_i = 0
-        step = 0
-        for edge in stream:
-            step += 1
-            uf.apply_edge(edge)
-            if t_i == 0 and uf.untouched_count == 0:
-                t_i = step
-            if uf.is_j_connected:
-                break
-        else:
-            raise RuntimeError("process exhausted before j-connectivity; invalid state")
-        records.append(HittingRecord(t, seed, step, t_i, step == t_i))
+        count = min(start, total)
+        while (times := _hitting_times(params, seed, count)) is None:
+            count = min(2 * count, total)
+        records.append(HittingRecord(t, seed, *times, times[0] == times[1]))
     return records
+
+
+def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | None:
+    """(T_c, T_i) from the first `count` edges of the process on `seed`, or
+    None if they are not j-connected.  T_i is one past the last first touch
+    of a j-set.  Connectivity is monotone in the prefix, so T_c is one census
+    at T_i (enough w.h.p., by the hitting-time theorem), or else a gallop and
+    a bisection."""
+    check_cap("edge count m", count)
+    ranks = first_distinct_ranks(random.Random(seed), params.num_ksets, count)
+    edges = colex_unrank_array(ranks, params.k, params.n)
+    first = np.full(params.num_jsets, count)
+    np.minimum.at(first, jset_rank_array(edges, params.j, params.n), np.arange(count)[:, None])
+    t_i = int(first.max()) + 1
+    if t_i > count:
+        return None
+
+    def connected(m: int) -> bool:
+        uf = JSetUnionFind(params)
+        uf.apply_edges(edges[:m])
+        return uf.is_j_connected
+
+    lo, hi, step = t_i - 1, t_i, 1  # an isolated j-set keeps the first t_i - 1 edges split
+    while not connected(hi):
+        if hi == count:
+            return None
+        lo, hi, step = hi, min(hi + step, count), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if connected(mid) else (mid, hi)
+    return hi, t_i
 
 
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:

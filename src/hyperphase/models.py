@@ -16,12 +16,12 @@ seed scrambling makes nearby integer seeds independent streams.
 Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
 ``rng.randrange``, each kept unless already drawn, are unranked to k-sets.
 When M > C(n, k)/2 the complement is drawn instead, so rejection stays
-cheap.  The static samplers do not call ``randrange`` per rank:
-``first_distinct_ranks`` replays its word use on one bulk
-``getrandbits`` draw and leaves the generator in the state the calls would
-have.  That replay is exact as long as ``randrange`` keeps its word use
-(true of CPython 3.11, and pinned by the tests on the running
-interpreter); the process stream still calls ``randrange``.
+cheap.  Only ``EdgeStream``, the scalar reference for the process, calls
+``randrange`` per rank: ``first_distinct_ranks`` replays its word use on
+one bulk ``getrandbits`` draw and leaves the generator in the state the
+calls would have, so its first M ranks are the stream's first M.  That
+replay is exact as long as ``randrange`` keeps its word use (true of
+CPython 3.11, and pinned by the tests on the running interpreter).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for

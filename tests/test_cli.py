@@ -268,12 +268,18 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
         raise AssertionError("the guardrail must refuse before the first draw")
 
     monkeypatch.setattr(hyperphase.experiments, "sample_binomial", no_draw)
+    monkeypatch.setattr(hyperphase.experiments, "first_distinct_ranks", no_draw)
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
+    code, out, err = run(capsys, ["hitting", "--config", str(cfg)])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "50")  # 30 j-sets fit, ~2030 edges do not
     cfg.write_text("k=3\nj=1\nn=30\n", encoding="utf-8")
     code, out, err = run(capsys, ["sample", "--config", str(cfg), "--p", "0.5"])
     assert code == 2 and "edge count" in err and out == ""
+    # the hitting prefix starts at ceil(4060 * (ln 30 + 3) / 435) = 60 edges
+    code, out, err = run(capsys, ["hitting", "--config", str(cfg)])
+    assert code == 2 and "edge count m = 60 exceeds the guardrail cap 50" in err and out == ""
 
 
 def test_exit_code_non_convergence(tmp_path, capsys, monkeypatch):

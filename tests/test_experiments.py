@@ -3,11 +3,13 @@ import statistics
 
 import pytest
 
+from hyperphase import experiments
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
-from hyperphase.components import component_summary
+from hyperphase.components import JSetUnionFind, component_summary
 from hyperphase.errors import ValidationError
 from hyperphase.experiments import (
     ExperimentConfig,
+    HittingRecord,
     aggregate,
     run_connectivity_probe,
     run_degree_experiment,
@@ -108,6 +110,64 @@ def test_hitting_matches_offline_recomputation(params):
         assert at_iso.isolated_count == 0
         pre_iso = component_summary(Hypergraph(params, tuple(edges[: rec.t_i - 1])))
         assert pre_iso.isolated_count > 0
+
+
+def per_edge_hitting_time(cfg):
+    """The per-edge walk ``run_hitting_time`` replaces: one ``apply_edge``
+    and one connectivity query per streamed edge."""
+    params = cfg.params
+    records = []
+    for t in range(cfg.trials):
+        seed = cfg.base_seed + t
+        uf = JSetUnionFind(params)
+        t_i = 0
+        step = 0
+        for edge in process_stream(params, seed):
+            step += 1
+            uf.apply_edge(edge)
+            if t_i == 0 and uf.touched_count == params.num_jsets:
+                t_i = step
+            if uf.is_j_connected:
+                break
+        else:
+            raise RuntimeError("process exhausted before j-connectivity")
+        records.append(HittingRecord(t, seed, step, t_i, step == t_i))
+    return records
+
+
+HITTING_BATTERY = [
+    Params(3, 2, 3),  # n = k: the one possible edge
+    Params(5, 4, 5),
+    Params(3, 2, 8),  # j = k - 1
+    Params(4, 3, 7),
+    Params(5, 4, 7),
+    Params(2, 1, 4),
+    Params(2, 1, 12),
+    Params(2, 1, 30),
+    Params(4, 1, 8),
+    Params(4, 2, 9),
+    Params(5, 2, 8),
+    Params(5, 1, 10),
+]
+
+
+def test_hitting_matches_per_edge_walk(monkeypatch):
+    prefixes = []
+    hitting_times = experiments._hitting_times
+
+    def spy(params, seed, count):
+        prefixes.append(hitting_times(params, seed, count))
+        return prefixes[-1]
+
+    monkeypatch.setattr(experiments, "_hitting_times", spy)
+    gaps = []
+    for params in HITTING_BATTERY:
+        cfg = ExperimentConfig(params=params, trials=15, base_seed=11)
+        records = run_hitting_time(cfg)
+        assert records == per_edge_hitting_time(cfg)
+        gaps += [r.t_c - r.t_i for r in records]
+    assert None in prefixes  # a prefix ended before T_c and was redrawn longer
+    assert max(gaps) >= 3  # T_c > T_i + 2 takes the gallop and then the bisection
 
 
 def test_degree_experiment_shape_and_conservation():

@@ -256,6 +256,17 @@ def test_rank_replay_spans_batches_near_a_full_draw():
     assert replay.getstate() == loop.getstate()
 
 
+@pytest.mark.parametrize("total", [1, 7, 100, 4060])
+def test_longer_rank_draw_extends_the_stream_order(total):
+    # a hitting-time prefix redrawn longer keeps its first M ranks
+    for seed in range(3):
+        for count in sorted({min(c, total) for c in (1, 5, 60, total // 2 + 1, total)}):
+            drawn = first_distinct_ranks(random.Random(seed), total, count).tolist()
+            for M in sorted({0, 1, count // 3, count - 1, count}):
+                stream = models._distinct_ranks(random.Random(seed), total)
+                assert drawn[:M] == [next(stream) for _ in range(M)]
+
+
 @pytest.mark.parametrize("total", [7, 100, 4099])
 def test_complement_rank_draw_matches_randrange_loop(total):
     for seed in range(3):

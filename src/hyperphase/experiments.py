@@ -239,6 +239,7 @@ def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | N
     first = np.full(params.num_jsets, count)
     np.minimum.at(first, jset_rank_array(edges, params.j, params.n), np.arange(count)[:, None])
     t_i = int(first.max()) + 1
+    del first  # freed before the censuses build their union-finds
     if t_i > count:
         return None
 

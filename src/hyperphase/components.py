@@ -6,9 +6,12 @@ union-find engine exact: the C(k, j) j-subsets of one edge are pairwise
 j-connected through that edge alone, and two edges intersect in >= j
 vertices exactly when they share a full j-set.  Merging every applied
 edge's j-subsets therefore produces precisely the transitive closure of
-the walk relation.  ``bfs_components`` recomputes components from pairwise
-edge intersections instead and exists to cross-check that equivalence,
-not to restate it.
+the walk relation.  The engine has one merge kernel,
+``JSetUnionFind.apply_ranks``: it labels the rows of an int64 j-set rank
+array by hook-and-compress, and ``apply_edges`` and ``apply_edge`` rank
+their edges and call it.  ``bfs_components`` recomputes components from
+pairwise edge intersections instead and exists to cross-check that
+equivalence, not to restate it.
 """
 
 from __future__ import annotations
@@ -31,20 +34,18 @@ BFS_ORACLE_MAX_JSETS = 10_000
 class JSetUnionFind:
     """Union-find over the C(n, j) colex-ranked j-sets of [n].
 
-    The one forest rule: no parent has a larger rank than its child, so
-    every root is the smallest rank of its component.  Path compression
-    keeps the rule.  Single-writer: no concurrent mutation.
+    The labels are always fully compressed: every j-set points straight at
+    the smallest rank of its component.  ``apply_ranks`` is the one merge
+    kernel; ``apply_edges`` and ``apply_edge`` rank their edges and call it.
+    Single-writer: no concurrent mutation.
     """
 
     def __init__(self, params: Params):
         params.check_jsets()
         total = params.num_jsets
         self.params = params
-        self._j = params.j
-        self._total = total
-        self._parent = np.arange(total, dtype=np.int64)
+        self._labels = np.arange(total, dtype=np.int64)
         self._touched = np.zeros(total, dtype=bool)
-        self._touched_count = 0
         self._num_sets = total
         self._edges_applied = 0
 
@@ -58,65 +59,41 @@ class JSetUnionFind:
 
     @property
     def touched_count(self) -> int:
-        return self._touched_count
+        return int(np.count_nonzero(self._touched))
 
     @property
     def is_j_connected(self) -> bool:
         return self._num_sets == 1
 
     def find(self, rank: int) -> int:
-        parent = self._parent
-        root = rank
-        while True:
-            p = int(parent[root])
-            if p == root:
-                break
-            root = p
-        while rank != root:
-            rank, parent[rank] = int(parent[rank]), root
-        return root
-
-    def _union(self, a: int, b: int) -> bool:
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            return False
-        self._parent[max(ra, rb)] = min(ra, rb)  # the forest rule
-        self._num_sets -= 1
-        return True
+        """The smallest rank in the component of `rank`."""
+        return int(self._labels[rank])
 
     def apply_edge(self, edge: Edge) -> int:
         """Merge the edge's j-subsets into one set; returns unions performed.
 
         Idempotent: re-applying an edge returns 0.
         """
-        validate_subset(edge, self.params.k, self.params.n, "edge")
-        ranks = jset_ranks(edge, self._j)
-        touched = self._touched
-        for r in ranks:
-            if not touched[r]:
-                touched[r] = True
-                self._touched_count += 1
-        first = ranks[0]
-        delta = 0
-        for r in ranks[1:]:
-            if self._union(first, r):
-                delta += 1
-        self._edges_applied += 1
-        return delta
+        edge = validate_subset(edge, self.params.k, self.params.n, "edge")
+        return self.apply_edges(np.array([edge], dtype=np.int64))
 
     def apply_edges(self, edges: np.ndarray) -> int:
         """``apply_edge`` for every row of an (m, k) array of canonical edges,
-        such as ``Hypergraph.array``; returns unions performed.  Hook-and-compress (Shiloach &
-        Vishkin 1982): each round hooks the roots of every edge still split
-        to their smallest, then pointer-jumps.  Roots only ever point down,
-        so no cycle forms, and each round retires a root per split edge."""
+        such as ``Hypergraph.array``; returns unions performed."""
         k, n = self.params.k, self.params.n
         if not canonical_rows(edges, k, n):
             raise ValidationError(f"edges must be an integer (m, {k}) array of canonical edges on [{n}]")
-        ranks = np.ascontiguousarray(jset_rank_array(edges, self._j, n).T)
-        labels = _compress(self._parent)
-        pending = ranks  # (C(k, j), edges not yet inside one component)
+        return self.apply_ranks(jset_rank_array(edges, self.params.j, n))
+
+    def apply_ranks(self, ranks: np.ndarray) -> int:
+        """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array,
+        as ``jset_rank_array`` gives it for m edges; returns unions performed.
+        Hook-and-compress (Shiloach & Vishkin 1982): each round hooks the
+        roots of every edge still split to their smallest, then pointer-jumps.
+        Roots only ever point down, so no cycle forms, and each round retires
+        a root per split edge."""
+        labels = self._labels
+        pending = np.ascontiguousarray(ranks.T)  # (C(k, j), edges not yet inside one component)
         while pending.shape[1]:
             roots = labels[pending]
             low = roots.min(axis=0)
@@ -124,20 +101,18 @@ class JSetUnionFind:
             labels = _compress(labels)
             # edges that were split stay pending; compress keeps rows contiguous
             pending = pending.compress(low != roots.max(axis=0), axis=1)
-        self._parent = labels
-        before = self._num_sets
-        self._num_sets = int(np.count_nonzero(labels == np.arange(self._total)))
+        self._labels = labels
         self._touched[ranks] = True
-        self._touched_count = int(np.count_nonzero(self._touched))
-        self._edges_applied += len(edges)
+        before = self._num_sets
+        self._num_sets = int(np.count_nonzero(labels == np.arange(len(labels))))
+        self._edges_applied += len(ranks)
         return before - self._num_sets
 
     def _touched_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Touched ranks, ascending, and their roots.  Non-trivial components
         hold exactly the touched j-sets: an edge has at least two j-subsets."""
-        self._parent = _compress(self._parent)
         touched = np.flatnonzero(self._touched)
-        return touched, self._parent[touched]
+        return touched, self._labels[touched]
 
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by
@@ -169,8 +144,8 @@ class JSetUnionFind:
             largest=largest,
             second=sizes[1] if len(sizes) > 1 else 0,
             num_nontrivial=len(sizes),
-            isolated_count=self._total - self._touched_count,
-            is_j_connected=largest == self._total,
+            isolated_count=self.params.num_jsets - len(labels),
+            is_j_connected=self.is_j_connected,
         )
 
 

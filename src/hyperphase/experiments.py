@@ -209,14 +209,16 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     """Both hitting times of the edge process, each trial from one prefix of
     it drawn as arrays: ``first_distinct_ranks`` on the trial's generator
     gives the ranks ``process_stream`` (the scalar reference) yields, in its
-    order.  The prefix starts at C(n, k) * (j ln n + 3) / C(n, k - j) edges,
-    past the connectivity threshold, and is redrawn twice as long while it
-    ends before T_c.  Ranks drawn past T_c are discarded, which keeps the RNG
-    contract: no other trial reads that generator."""
+    order.  The prefix starts at C(n, k) * (ln C(n, j) + 3) / C(n - j, k - j)
+    edges, where e^-3 j-sets are expected to be isolated, and is redrawn
+    twice as long while it ends before T_c.  Ranks drawn past T_c are
+    discarded, which keeps the RNG contract: no other trial reads that
+    generator."""
     params = cfg.params
     params.check_jsets()
     total = params.num_ksets
-    start = math.ceil(total * (params.j * math.log(params.n) + 3.0) / binomial(params.n, params.k - params.j))
+    per_jset = binomial(params.n - params.j, params.k - params.j)  # edges through one j-set
+    start = math.ceil(total * (math.log(params.num_jsets) + 3.0) / per_jset)
     records: list[HittingRecord] = []
     for t in range(cfg.trials):
         seed = trial_seed(cfg.base_seed, t)
@@ -234,10 +236,12 @@ def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | N
     at T_i (enough w.h.p., by the hitting-time theorem), or else a gallop and
     a bisection."""
     check_cap("edge count m", count)
-    ranks = first_distinct_ranks(random.Random(seed), params.num_ksets, count)
-    edges = colex_unrank_array(ranks, params.k, params.n)
+    k, j, n = params.k, params.j, params.n
+    edges = colex_unrank_array(first_distinct_ranks(random.Random(seed), params.num_ksets, count), k, n)
+    ranks = jset_rank_array(edges, j, n)  # row i: the j-subsets of edge i + 1, ranked once
+    del edges  # every census below takes a row slice of `ranks`
     first = np.full(params.num_jsets, count)
-    np.minimum.at(first, jset_rank_array(edges, params.j, params.n), np.arange(count)[:, None])
+    np.minimum.at(first, ranks, np.arange(count)[:, None])
     t_i = int(first.max()) + 1
     del first  # freed before the censuses build their union-finds
     if t_i > count:
@@ -245,7 +249,7 @@ def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | N
 
     def connected(m: int) -> bool:
         uf = JSetUnionFind(params)
-        uf.apply_edges(edges[:m])
+        uf.apply_ranks(ranks[:m])
         return uf.is_j_connected
 
     lo, hi, step = t_i - 1, t_i, 1  # an isolated j-set keeps the first t_i - 1 edges split

@@ -277,9 +277,9 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     cfg.write_text("k=3\nj=1\nn=30\n", encoding="utf-8")
     code, out, err = run(capsys, ["sample", "--config", str(cfg), "--p", "0.5"])
     assert code == 2 and "edge count" in err and out == ""
-    # the hitting prefix starts at ceil(4060 * (ln 30 + 3) / 435) = 60 edges
+    # the hitting prefix starts at ceil(C(30,3) * (ln C(30,1) + 3) / C(29,2)) = ceil(4060 * 6.401 / 406) = 65 edges
     code, out, err = run(capsys, ["hitting", "--config", str(cfg)])
-    assert code == 2 and "edge count m = 60 exceeds the guardrail cap 50" in err and out == ""
+    assert code == 2 and "edge count m = 65 exceeds the guardrail cap 50" in err and out == ""
 
 
 def test_exit_code_non_convergence(tmp_path, capsys, monkeypatch):

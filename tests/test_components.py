@@ -59,7 +59,7 @@ def test_dsu_guardrail(monkeypatch):
 
 
 def test_dsu_footprint_per_jset():
-    params = Params(3, 2, 300)  # 44,850 j-sets: an int64 parent and a bool touched flag each
+    params = Params(3, 2, 300)  # 44,850 j-sets: an int64 label and a bool touched flag each
     tracemalloc.start()
     try:
         JSetUnionFind(params)
@@ -236,7 +236,7 @@ def test_dsu_equals_bfs_oracle(mode, h):
     oracle = sorted(bfs_components(h), key=lambda c: sorted(c))
     assert partition_of(uf, h.params) == oracle
     parts = uf.partition()
-    assert all(uf.find(min(c)) == min(c) for c in parts)  # every root is its smallest rank
+    assert all(uf.find(r) == min(c) for c in parts for r in c)  # every label is its part's smallest rank
     assert [min(c) for c in parts] == sorted(min(c) for c in parts)
     assert unions == h.params.num_jsets - uf.num_sets_remaining
     assert uf.edges_applied == h.m

@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from hyperphase import experiments
+from hyperphase import components, experiments
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
 from hyperphase.components import JSetUnionFind, component_summary
 from hyperphase.errors import ValidationError
@@ -148,6 +148,7 @@ HITTING_BATTERY = [
     Params(4, 2, 9),
     Params(5, 2, 8),
     Params(5, 1, 10),
+    Params(2, 1, 20),  # its first prefix at base seed 11 ends before T_c once
 ]
 
 
@@ -168,6 +169,27 @@ def test_hitting_matches_per_edge_walk(monkeypatch):
         gaps += [r.t_c - r.t_i for r in records]
     assert None in prefixes  # a prefix ended before T_c and was redrawn longer
     assert max(gaps) >= 3  # T_c > T_i + 2 takes the gallop and then the bisection
+
+
+def test_hitting_ranks_each_prefix_once(monkeypatch):
+    prefixes, ranked = [], []
+    hitting_times = experiments._hitting_times
+    rank_array = experiments.jset_rank_array
+
+    def spy_prefix(params, seed, count):
+        prefixes.append(count)
+        return hitting_times(params, seed, count)
+
+    def spy_rank(*args):
+        ranked.append(args[0].shape[0])
+        return rank_array(*args)
+
+    monkeypatch.setattr(experiments, "_hitting_times", spy_prefix)
+    monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
+    monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # where apply_edges ranks
+    records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
+    assert len(prefixes) > len(records)  # one trial's first prefix was redrawn longer
+    assert ranked == prefixes
 
 
 def test_degree_experiment_shape_and_conservation():

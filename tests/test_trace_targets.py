@@ -6,6 +6,11 @@ This pins them in the package's own suite, so such a change fails here
 first.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import hyperphase.cli as cli
@@ -13,6 +18,8 @@ import hyperphase.components as components
 import hyperphase.experiments as experiments
 import hyperphase.models as models
 from hyperphase.params import Params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REBOUND = [
     (cli, "run_phase_sweep"),
@@ -53,3 +60,24 @@ def test_rebound_post_init_runs_on_every_sample(monkeypatch):
     monkeypatch.setattr(models.Hypergraph, "__post_init__", wrapped)
     h = experiments.sample_binomial(Params(3, 2, 12), 0.3, 4)
     assert seen == [h.m] and h.m == len(h.edges)
+
+
+def test_installed_tracer_counts_unions_of_apply_edge():
+    # the real installer in a fresh interpreter (it rebinds package-wide);
+    # -B keeps bytecode caches out of bench/
+    script = f"""
+import json, sys
+sys.path[:0] = [{str(ROOT / "bench")!r}, {str(ROOT / "src")!r}]
+from tracing import Recorder, install
+from hyperphase.components import JSetUnionFind
+from hyperphase.params import Params
+rec = Recorder()
+install(rec)
+delta = JSetUnionFind(Params(4, 2, 6)).apply_edge((1, 2, 4, 6))
+print(json.dumps([delta, rec.counts, rec.summary()["layers"]["components.apply_edge"]["calls"]]))
+"""
+    cmd = [sys.executable, "-B", "-c", script]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+    delta, counts, calls = json.loads(run.stdout)
+    assert delta == 5 and calls == 1  # C(4, 2) = 6 j-sets joined by 5 unions
+    assert counts == {"components.unions": 5, "components.union_slots": 5}

@@ -87,11 +87,11 @@ class JSetUnionFind:
 
     def apply_ranks(self, ranks: np.ndarray) -> int:
         """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array,
-        as ``jset_rank_array`` gives it for m edges; returns unions performed.
-        Hook-and-compress (Shiloach & Vishkin 1982): each round hooks the
-        roots of every edge still split to their smallest, then pointer-jumps.
-        Roots only ever point down, so no cycle forms, and each round retires
-        a root per split edge."""
+        as ``jset_rank_array`` gives it for m edges (rows unchecked); returns
+        unions performed.  Hook-and-compress (Shiloach & Vishkin 1982): each
+        round hooks the roots of every edge still split to their smallest,
+        then pointer-jumps.  Roots only ever point down, so no cycle forms,
+        and each round retires a root per split edge."""
         labels = self._labels
         pending = np.ascontiguousarray(ranks.T)  # (C(k, j), edges not yet inside one component)
         while pending.shape[1]:
@@ -109,7 +109,7 @@ class JSetUnionFind:
         return before - self._num_sets
 
     def _touched_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Touched ranks, ascending, and their roots.  Non-trivial components
+        """Touched ranks, ascending, and their labels (smallest ranks).  Non-trivial components
         hold exactly the touched j-sets: an edge has at least two j-subsets."""
         touched = np.flatnonzero(self._touched)
         return touched, self._labels[touched]

@@ -22,7 +22,9 @@ via HYPERPHASE_MAX_JSETS.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 import os
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -125,8 +127,14 @@ def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
 def _binomial_columns(i: int, n: int) -> np.ndarray:
     """C(v, t) at row t in [0, i], column v in [0, n), saturated at INT64_MAX:
     it can pass 2^63 for t < k even when C(n, k) fits, but every entry a
-    valid rank selects is <= it."""
+    valid rank selects is <= it.  Read-only and cached: the guardrail is
+    checked on every call, the cap being read from the environment."""
     check_cap("vertex count n", n)
+    return _binomial_table(i, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _binomial_table(i: int, n: int) -> np.ndarray:
     cols = np.ones((i + 1, n), dtype=np.int64)
     for t in range(1, i + 1):
         # C(v, t) is the sum of C(u, t - 1) over u < v.  Entries before the
@@ -135,6 +143,7 @@ def _binomial_columns(i: int, n: int) -> np.ndarray:
         cols[t, :1] = 0
         np.cumsum(cols[t - 1, :-1], out=cols[t, 1:])
         cols[t, bisect.bisect_right(range(n), INT64_MAX, key=lambda v: math.comb(v, t)):] = INT64_MAX
+    cols.flags.writeable = False
     return cols
 
 
@@ -185,10 +194,15 @@ def canonical_array(rows, size: int, n: int) -> np.ndarray | None:
 
 
 def validate_subset(s: Iterable[int], size: int, n: int, what: str = "subset") -> tuple[int, ...]:
-    """Check canonical form: exactly `size` strictly increasing vertices in [1, n]."""
+    """Check canonical form: exactly `size` strictly increasing integer
+    vertices in [1, n]; returns them as a tuple of ints."""
     t = tuple(s)
     if len(t) != size:
         raise ValidationError(f"{what} {t} must have exactly {size} vertices, got {len(t)}")
+    try:
+        t = tuple(map(operator.index, t))
+    except TypeError:
+        raise ValidationError(f"{what} {t}: vertices must be integers") from None
     prev = 0
     for v in t:
         if v <= prev:

@@ -8,10 +8,10 @@ vertices exactly when they share a full j-set.  Merging every applied
 edge's j-subsets therefore produces precisely the transitive closure of
 the walk relation.  The engine has one merge kernel,
 ``JSetUnionFind.apply_ranks``: it labels the rows of an int64 j-set rank
-array by hook-and-compress, and ``apply_edges`` and ``apply_edge`` rank
-their edges and call it.  ``bfs_components`` recomputes components from
-pairwise edge intersections instead and exists to cross-check that
-equivalence, not to restate it.
+array by hook-and-compress; ``apply_edge`` and ``component_summary``
+rank one edge or a whole ``Hypergraph.array`` and call it.
+``bfs_components`` recomputes components from pairwise edge intersections
+instead and exists to cross-check that equivalence, not to restate it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import Edge, JSet, canonical_rows, colex_rank, colex_unrank, colex_unrank_array
+from .combinatorics import Edge, JSet, colex_rank, colex_unrank, colex_unrank_array
 from .combinatorics import jset_rank_array, jset_ranks, validate_subset
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .models import Hypergraph
 from .params import Params
 
@@ -35,18 +35,18 @@ class JSetUnionFind:
     """Union-find over the C(n, j) colex-ranked j-sets of [n].
 
     The labels are always fully compressed: every j-set points straight at
-    the smallest rank of its component.  ``apply_ranks`` is the one merge
-    kernel; ``apply_edges`` and ``apply_edge`` rank their edges and call it.
-    Single-writer: no concurrent mutation.
+    the smallest rank of its component, and they are the whole per-j-set
+    state: component sizes, isolated j-sets (the singletons) and
+    connectivity all come from them.  ``apply_ranks`` is the one merge
+    kernel; ``apply_edge`` ranks one edge and calls it.  Single-writer: no
+    concurrent mutation.
     """
 
     def __init__(self, params: Params):
         params.check_jsets()
-        total = params.num_jsets
         self.params = params
-        self._labels = np.arange(total, dtype=np.int64)
-        self._touched = np.zeros(total, dtype=bool)
-        self._num_sets = total
+        self._labels = np.arange(params.num_jsets, dtype=np.int64)
+        self._num_sets = params.num_jsets
         self._edges_applied = 0
 
     @property
@@ -56,10 +56,6 @@ class JSetUnionFind:
     @property
     def edges_applied(self) -> int:
         return self._edges_applied
-
-    @property
-    def touched_count(self) -> int:
-        return int(np.count_nonzero(self._touched))
 
     @property
     def is_j_connected(self) -> bool:
@@ -75,23 +71,17 @@ class JSetUnionFind:
         Idempotent: re-applying an edge returns 0.
         """
         edge = validate_subset(edge, self.params.k, self.params.n, "edge")
-        return self.apply_edges(np.array([edge], dtype=np.int64))
-
-    def apply_edges(self, edges: np.ndarray) -> int:
-        """``apply_edge`` for every row of an (m, k) array of canonical edges,
-        such as ``Hypergraph.array``; returns unions performed."""
-        k, n = self.params.k, self.params.n
-        if not canonical_rows(edges, k, n):
-            raise ValidationError(f"edges must be an integer (m, {k}) array of canonical edges on [{n}]")
-        return self.apply_ranks(jset_rank_array(edges, self.params.j, n))
+        return self.apply_ranks(np.array([jset_ranks(edge, self.params.j)], dtype=np.int64))
 
     def apply_ranks(self, ranks: np.ndarray) -> int:
-        """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array,
-        as ``jset_rank_array`` gives it for m edges (rows unchecked); returns
-        unions performed.  Hook-and-compress (Shiloach & Vishkin 1982): each
-        round hooks the roots of every edge still split to their smallest,
-        then pointer-jumps.  Roots only ever point down, so no cycle forms,
-        and each round retires a root per split edge."""
+        """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array;
+        returns unions performed.  Each row must hold one edge's C(k, j)
+        distinct ranks, as ``jset_rank_array`` gives them (unchecked), so
+        that the singletons are exactly the isolated j-sets.
+        Hook-and-compress (Shiloach & Vishkin 1982): each round hooks the
+        roots of every edge still split to their smallest, then
+        pointer-jumps.  Roots only ever point down, so no cycle forms, and
+        each round retires a root per split edge."""
         labels = self._labels
         pending = np.ascontiguousarray(ranks.T)  # (C(k, j), edges not yet inside one component)
         while pending.shape[1]:
@@ -102,49 +92,40 @@ class JSetUnionFind:
             # edges that were split stay pending; compress keeps rows contiguous
             pending = pending.compress(low != roots.max(axis=0), axis=1)
         self._labels = labels
-        self._touched[ranks] = True
         before = self._num_sets
         self._num_sets = int(np.count_nonzero(labels == np.arange(len(labels))))
         self._edges_applied += len(ranks)
         return before - self._num_sets
 
-    def _touched_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Touched ranks, ascending, and their labels (smallest ranks).  Non-trivial components
-        hold exactly the touched j-sets: an edge has at least two j-subsets."""
-        touched = np.flatnonzero(self._touched)
-        return touched, self._labels[touched]
-
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by
         their smallest rank."""
-        touched, labels = self._touched_labels()
-        order = np.argsort(labels, kind="stable")  # labels are the smallest ranks
-        bounds = np.flatnonzero(np.diff(labels[order])) + 1
-        groups = np.split(touched[order], bounds) if len(touched) else []
-        return [frozenset(g.tolist()) for g in groups]
+        order = np.argsort(self._labels, kind="stable")  # labels are the smallest ranks
+        groups = np.split(order, np.flatnonzero(np.diff(self._labels[order])) + 1)
+        return [frozenset(g.tolist()) for g in groups if len(g) > 1]  # singletons are isolated
 
     def largest_component_ranks(self) -> np.ndarray:
         """Ranks of the largest component as an ascending int64 array; ties
         broken towards the component containing the smallest rank.  Empty
         if no edges."""
-        touched, labels = self._touched_labels()
-        if not len(touched):
-            return touched
-        root = np.argmax(np.bincount(labels))  # first maximum: ties go to the smallest rank
-        return touched[labels == root]
+        sizes = np.bincount(self._labels)
+        root = np.argmax(sizes)  # first maximum: ties go to the smallest rank
+        if sizes[root] < 2:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(self._labels == root)
 
     def summary(self) -> ComponentSummary:
-        _, labels = self._touched_labels()
-        sizes = np.bincount(labels)
-        sizes = np.sort(sizes[sizes > 0])[::-1].tolist()
-        largest = sizes[0] if sizes else 0
+        """The census.  Isolated j-sets are the singleton components: every
+        edge puts its C(k, j) >= 2 j-sets in one component."""
+        sizes = np.bincount(self._labels)
+        nontrivial = np.sort(sizes[sizes > 1])[::-1].tolist()
         return ComponentSummary(
             params=self.params,
             m=self._edges_applied,
-            largest=largest,
-            second=sizes[1] if len(sizes) > 1 else 0,
-            num_nontrivial=len(sizes),
-            isolated_count=self.params.num_jsets - len(labels),
+            largest=nontrivial[0] if nontrivial else 0,
+            second=nontrivial[1] if len(nontrivial) > 1 else 0,
+            num_nontrivial=len(nontrivial),
+            isolated_count=int(np.count_nonzero(sizes == 1)),
             is_j_connected=self.is_j_connected,
         )
 
@@ -192,7 +173,7 @@ def _compress(parent: np.ndarray) -> np.ndarray:
 def _union_find(h: Hypergraph) -> JSetUnionFind:
     """A fresh union-find with every edge of `h` applied in one batch."""
     uf = JSetUnionFind(h.params)
-    uf.apply_edges(h.array)
+    uf.apply_ranks(jset_rank_array(h.array, h.params.j, h.params.n))  # h.array is validated
     return uf
 
 

@@ -98,10 +98,8 @@ class Hypergraph:
         arr = canonical_array(edges, k, n)
         if arr is None:  # per-edge checks name the fault
             edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
-            arr = np.array([validate_subset(e, k, n, "edge") for e in edges]).reshape(-1, k)
-            if arr.size and arr.dtype.kind not in "iu":
-                raise ValidationError(f"edge vertices must be integers, got {arr.dtype} values")
-            arr = arr.astype(np.int64)
+            rows = [validate_subset(e, k, n, "edge") for e in edges]
+            arr = np.array(rows, dtype=np.int64).reshape(-1, k)
         # colex order compares vertices only, so it is exact for any k; the
         # narrowest dtype holding [1, n] sorts fastest
         arr = arr[np.lexsort(arr.T.astype(np.min_scalar_type(n)))]

@@ -147,6 +147,14 @@ def test_rank_kernels_guard_their_allocations(monkeypatch):
         jset_rank_array(rows, 2, 20)
 
 
+def test_binomial_table_is_cached_read_only_and_guarded_per_call(monkeypatch):
+    table = _binomial_columns(3, 40)
+    assert _binomial_columns(3, 40) is table and not table.flags.writeable
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "39")  # lowered after the table was cached
+    with pytest.raises(ResourceLimitError, match="vertex count n = 40"):
+        _binomial_columns(3, 40)
+
+
 @given(subset_with_params(), subset_with_params())
 def test_colex_monotonicity(a, b):
     s, j, n = a

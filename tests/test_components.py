@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperphase.combinatorics import binomial, colex_rank, colex_unrank
+from hyperphase.combinatorics import binomial, colex_rank, colex_unrank, jset_rank_array
 from hyperphase.components import (
     JSetUnionFind,
     bfs_components,
@@ -59,14 +59,14 @@ def test_dsu_guardrail(monkeypatch):
 
 
 def test_dsu_footprint_per_jset():
-    params = Params(3, 2, 300)  # 44,850 j-sets: an int64 label and a bool touched flag each
+    params = Params(3, 2, 300)  # 44,850 j-sets: an int64 label each, and no other per-j-set array
     tracemalloc.start()
     try:
         JSetUnionFind(params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / params.num_jsets <= 10
+    assert peak / params.num_jsets <= 8.5
 
 
 def test_apply_edge_merges_and_is_idempotent():
@@ -74,7 +74,7 @@ def test_apply_edge_merges_and_is_idempotent():
     assert uf.apply_edge((1, 2, 3)) == 2
     assert uf.apply_edge((1, 2, 3)) == 0
     assert uf.edges_applied == 2
-    assert uf.touched_count == 3
+    assert uf.summary().isolated_count == 3
     assert uf.apply_edge((2, 3, 4)) == 2
     params = Params(3, 2, 4)
     expected = closure_components(params, [(1, 2, 3), (2, 3, 4)])
@@ -88,10 +88,17 @@ def test_apply_edge_validates():
         uf.apply_edge((1, 2))
     with pytest.raises(ValidationError):
         uf.apply_edge((1, 2, 5))
-    for bad in ([[0, 1, 2]], [[1, 2, 5]], [[3, 2, 1]], [[1, 2]], [[1.0, 2.0, 3.0]]):
-        with pytest.raises(ValidationError, match="canonical edges"):
-            uf.apply_edges(np.array(bad))
-    assert uf.edges_applied == 0 and uf.touched_count == 0
+    for bad in ((1.5, 2, 3), (1.0, 2.0, 3.0), (1, 2, "3")):  # no rounding to (1, 2, 3)
+        with pytest.raises(ValidationError, match="vertices must be integers"):
+            uf.apply_edge(bad)
+    assert uf.edges_applied == 0 and uf.num_sets_remaining == 6
+    assert uf.apply_edge((np.int64(1), 2, np.int32(3))) == 2
+
+
+def test_bfs_explore_rejects_non_integer_start():
+    h = Hypergraph(Params(3, 2, 4), ((1, 2, 3),))
+    with pytest.raises(ValidationError, match="vertices must be integers"):
+        bfs_explore(h, (1.5, 2))
 
 
 def test_summary_single_edge_connects_when_n_equals_k():
@@ -216,18 +223,22 @@ def test_explore_generations_partition_the_component(h, data):
 
 
 def apply_in_mode(uf, h, mode):
-    """Apply h's edges one at a time, as one batch, or half each way."""
+    """Apply h's edges one at a time, as one ranked batch, or half each way."""
     half = h.m // 2
+
+    def batch(rows):
+        return uf.apply_ranks(jset_rank_array(rows, h.params.j, h.params.n))
+
     if mode == "apply_edge":
         return sum(uf.apply_edge(e) for e in h.edges)
-    if mode == "apply_edges":
-        return uf.apply_edges(h.array)
+    if mode == "apply_ranks":
+        return batch(h.array)
     if mode == "batch-then-edges":
-        return uf.apply_edges(h.array[:half]) + sum(uf.apply_edge(e) for e in h.edges[half:])
-    return sum(uf.apply_edge(e) for e in h.edges[:half]) + uf.apply_edges(h.array[half:])
+        return batch(h.array[:half]) + sum(uf.apply_edge(e) for e in h.edges[half:])
+    return sum(uf.apply_edge(e) for e in h.edges[:half]) + batch(h.array[half:])
 
 
-@pytest.mark.parametrize("mode", ["apply_edge", "apply_edges", "batch-then-edges", "edges-then-batch"])
+@pytest.mark.parametrize("mode", ["apply_edge", "apply_ranks", "batch-then-edges", "edges-then-batch"])
 @given(h=small_instances())
 @settings(max_examples=40)
 def test_dsu_equals_bfs_oracle(mode, h):
@@ -240,8 +251,11 @@ def test_dsu_equals_bfs_oracle(mode, h):
     assert [min(c) for c in parts] == sorted(min(c) for c in parts)
     assert unions == h.params.num_jsets - uf.num_sets_remaining
     assert uf.edges_applied == h.m
-    assert uf.touched_count == sum(map(len, oracle))
-    assert uf.summary() == component_summary(h)
+    sizes = sorted(map(len, oracle), reverse=True) + [0, 0]
+    s = uf.summary()
+    assert (s.largest, s.second, s.num_nontrivial) == (sizes[0], sizes[1], len(oracle))
+    assert s.isolated_count == h.params.num_jsets - sum(sizes)
+    assert s == component_summary(h)
 
 
 @given(small_instances())

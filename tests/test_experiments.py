@@ -5,6 +5,7 @@ import pytest
 
 from hyperphase import components, experiments
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
+from hyperphase.combinatorics import jset_ranks
 from hyperphase.components import JSetUnionFind, component_summary
 from hyperphase.errors import ValidationError
 from hyperphase.experiments import (
@@ -114,18 +115,21 @@ def test_hitting_matches_offline_recomputation(params):
 
 def per_edge_hitting_time(cfg):
     """The per-edge walk ``run_hitting_time`` replaces: one ``apply_edge``
-    and one connectivity query per streamed edge."""
+    and one connectivity query per streamed edge, with first touches kept
+    in a set of j-set ranks of its own."""
     params = cfg.params
     records = []
     for t in range(cfg.trials):
         seed = cfg.base_seed + t
         uf = JSetUnionFind(params)
+        touched = set()
         t_i = 0
         step = 0
         for edge in process_stream(params, seed):
             step += 1
             uf.apply_edge(edge)
-            if t_i == 0 and uf.touched_count == params.num_jsets:
+            touched.update(jset_ranks(edge, params.j))
+            if t_i == 0 and len(touched) == params.num_jsets:
                 t_i = step
             if uf.is_j_connected:
                 break
@@ -186,7 +190,7 @@ def test_hitting_ranks_each_prefix_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "_hitting_times", spy_prefix)
     monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
-    monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # where apply_edges ranks
+    monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # a component_summary census would rank here
     records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
     assert len(prefixes) > len(records)  # one trial's first prefix was redrawn longer
     assert ranked == prefixes

@@ -148,15 +148,16 @@ def _binomial_table(i: int, n: int) -> np.ndarray:
 
 
 def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> np.ndarray:
-    """colex_unrank of every rank, as an (m, size) int64 array; ranks must lie
-    in [0, C(n, size)), unchecked."""
+    """colex_unrank of every rank, as an (m, size) int64 array; size >= 1 and
+    ranks must lie in [0, C(n, size)), unchecked."""
     r = np.array(ranks, dtype=np.int64)
     cols = _binomial_columns(size, n)
     out = np.empty((len(r), size), dtype=np.int64)
-    for i in range(size, 0, -1):
+    for i in range(size, 1, -1):
         v = np.searchsorted(cols[i], r, side="right") - 1
         out[:, i - 1] = v + 1
         r -= cols[i, v]
+    out[:, 0] = r + 1  # C(v, 1) = v: the remainder is the smallest vertex
     return out
 
 

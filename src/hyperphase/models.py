@@ -14,14 +14,16 @@ from a base seed as ``trial_seed(base, index) = base + index``; MT19937's
 seed scrambling makes nearby integer seeds independent streams.
 
 Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
-``rng.randrange``, each kept unless already drawn, are unranked to k-sets.
-When M > C(n, k)/2 the complement is drawn instead, so rejection stays
-cheap.  Only ``EdgeStream``, the scalar reference for the process, calls
-``randrange`` per rank: ``first_distinct_ranks`` replays its word use on
-one bulk ``getrandbits`` draw and leaves the generator in the state the
-calls would have, so its first M ranks are the stream's first M.  That
-replay is exact as long as ``randrange`` keeps its word use (true of
-CPython 3.11, and pinned by the tests on the running interpreter).
+``rng.randrange``, each kept unless already drawn, are sorted and unranked
+to k-sets.  Colex rank order is colex order, so ``Hypergraph.from_ranks``
+takes the rows as they come, with no sort or duplicate scan.  When M >
+C(n, k)/2 the complement is drawn instead, so rejection stays cheap.  Only
+``EdgeStream``, the scalar reference for the process, calls ``randrange``
+per rank: ``first_distinct_ranks`` replays its word use on one bulk
+``getrandbits`` draw and leaves the generator in the state the calls would
+have, so its first M ranks are the stream's first M.  That replay is exact
+as long as ``randrange`` keeps its word use (true of CPython 3.11, and
+pinned by the tests on the running interpreter).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -31,16 +33,19 @@ defines the count; ``_inversion_crossing`` replays it with numpy and
 accepts its answer only when every comparison clears a stated bound on the
 drift between ``np.log`` and ``math.log``; the scalar loop decides the
 rest.  The bound grows with the mean, so the fallback is rare below means
-of ~10^4 and common near 10^6.
+of ~10^4 and common near 10^6.  The replay's log-CDF blocks do not depend
+on the uniform draw, so the last eight are cached: after the first trial
+at one (C(n, k), p), a trial's count is one ``searchsorted``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,6 +59,7 @@ _BIG_POPULATION = 2**53
 _MAX_INVERSION_MEAN = 1e7
 _MAX_INVERSION_BLOCK = 2**16
 _EPS = 2.0**-52
+_MIN_LOG_U = math.log(2.0**-53)  # random() returns multiples of 2^-53
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -78,6 +84,12 @@ class _EdgeTuples:
         h.__dict__["_edges_in"] = edges
 
 
+class _ColexRows(NamedTuple):
+    """``Hypergraph.from_ranks``'s rows, canonical and in colex order."""
+
+    rows: np.ndarray
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, duplicate-free edges.
@@ -85,7 +97,8 @@ class Hypergraph:
     Edges are stored sorted by colex rank, so equal hypergraphs compare
     equal regardless of construction order.  ``array`` holds them as a
     read-only (m, k) int64 array; ``edges`` is the same rows as tuples,
-    built on first read.  Either form may be passed in.
+    built on first read.  Either form may be passed in, or the edges' colex
+    ranks to ``from_ranks``.
     """
 
     params: Params
@@ -95,19 +108,35 @@ class Hypergraph:
     def __post_init__(self) -> None:
         k, n = self.params.k, self.params.n
         edges = self.__dict__.pop("_edges_in")
-        arr = canonical_array(edges, k, n)
-        if arr is None:  # per-edge checks name the fault
-            edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
-            rows = [validate_subset(e, k, n, "edge") for e in edges]
-            arr = np.array(rows, dtype=np.int64).reshape(-1, k)
-        # colex order compares vertices only, so it is exact for any k; the
-        # narrowest dtype holding [1, n] sorts fastest
-        arr = arr[np.lexsort(arr.T.astype(np.min_scalar_type(n)))]
-        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
-        if len(dup):
-            raise ValidationError(f"duplicate edge {tuple(arr[dup[0]].tolist())}")
+        if isinstance(edges, _ColexRows):  # validated and ordered by from_ranks
+            arr = edges.rows
+        else:
+            arr = canonical_array(edges, k, n)
+            if arr is None:  # per-edge checks name the fault
+                edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
+                rows = [validate_subset(e, k, n, "edge") for e in edges]
+                arr = np.array(rows, dtype=np.int64).reshape(-1, k)
+            # colex order compares vertices only, so it is exact for any k; the
+            # narrowest dtype holding [1, n] sorts fastest
+            arr = arr[np.lexsort(arr.T.astype(np.min_scalar_type(n)))]
+            dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+            if len(dup):
+                raise ValidationError(f"duplicate edge {tuple(arr[dup[0]].tolist())}")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
+
+    @classmethod
+    def from_ranks(cls, params: Params, ranks: np.ndarray) -> Hypergraph:
+        """The hypergraph whose edges have the given colex ranks, which must
+        be strictly increasing integers in [0, C(n, k)).  Colex rank order is
+        colex order, so the unranked rows need no sort or duplicate scan."""
+        r = np.asarray(ranks)
+        if r.ndim != 1 or (r.size and r.dtype.kind != "i"):
+            raise ValidationError(f"edge ranks must be 1-d signed integers, got {r.dtype}{r.shape}")
+        check_cap("edge count m", len(r))
+        if (len(r) and (r.min() < 0 or r.max() >= params.num_ksets)) or not (np.diff(r) > 0).all():
+            raise ValidationError(f"edge ranks must be strictly increasing in [0, {params.num_ksets})")
+        return cls(params, _ColexRows(colex_unrank_array(r, params.k, params.n)))
 
     @property
     def m(self) -> int:
@@ -154,9 +183,7 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
     if not 0 <= M <= total:
         raise ValidationError(f"edge count M={M} outside [0, {total}]")
     check_cap("edge count m", M)
-    rng = random.Random(seed)
-    ranks = _draw_distinct_ranks(rng, total, M)
-    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
+    return Hypergraph.from_ranks(params, np.sort(_draw_distinct_ranks(random.Random(seed), total, M)))
 
 
 def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
@@ -166,8 +193,7 @@ def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     m = _draw_binomial_count(rng, total, p)
     check_cap("edge count m", m)
-    ranks = _draw_distinct_ranks(rng, total, m)
-    return Hypergraph(params, colex_unrank_array(ranks, params.k, params.n))
+    return Hypergraph.from_ranks(params, np.sort(_draw_distinct_ranks(rng, total, m)))
 
 
 def second_round_probability(p: float, p0: float) -> float:
@@ -316,37 +342,55 @@ def _inversion_crossing(log_u: float, n_trials: int, p: float) -> int | None:
     odds| + 12 log(n + 1) + 2 max|log pmf| + 7 covering the two logs, the
     roundings and ``logaddexp`` (1-Lipschitz); after m steps the drift is
     at most m * eps * S.  The first step whose exit test might pass within
-    twice that bound must pass outside it, or the answer is None.
+    twice that bound must pass outside it, or the answer is None.  A block's
+    log CDF plus the drift is non-decreasing, so the first step whose CDF
+    test might pass is one ``searchsorted`` in the cached block.
     """
+    log_pmf = n_trials * math.log1p(-p)
+    if log_u <= log_pmf:  # step 0 carries no drift
+        return 0
+    if log_u < _MIN_LOG_U:  # below any log(random()); the blocks keep no steps for it
+        return None
+    carry = (0, log_pmf, log_pmf, abs(log_pmf))
+    while True:
+        hi, lo, skip, exit_at, exit_sure, after = _inversion_block(n_trials, p, *carry)
+        c = min(skip + int(np.searchsorted(hi, log_u, "left")), exit_at)
+        if c < skip + len(hi):
+            sure = log_u <= lo[c - skip] or (c == exit_at and exit_sure)
+            return carry[0] + 1 + c if sure else None
+        carry = after
+
+
+@functools.lru_cache(maxsize=8)  # each block holds at most (2^16 + 1) * 16 bytes
+def _inversion_block(n_trials: int, p: float, start: int, log_pmf: float, log_cdf: float, top: float):
+    """The replay's steps start + 1 onwards, given log pmf and log CDF at
+    `start` and the largest |log pmf| up to it: log CDF + drift (`hi`,
+    non-decreasing) and log CDF - drift (`lo`) per step from the first
+    step `skip` whose `hi` reaches log(2^-53), read-only; the first index
+    where the loop's log_u-free exit might pass (the block's length if
+    none); whether it passes there outside the drift; the next block's
+    (start, log pmf, log CDF, top).  Nothing depends on log_u: cached."""
     mean = n_trials * p
     log_odds = math.log(p) - math.log1p(-p)
-    log_pmf = n_trials * math.log1p(-p)
-    log_cdf = log_pmf
-    if log_u <= log_cdf:  # step 0 carries no drift
-        return 0
-    block = min(math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 - p))), _MAX_INVERSION_BLOCK) + 1
+    size = min(math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 - p))), _MAX_INVERSION_BLOCK) + 1
     scale = 2.0 * abs(log_odds) + 12.0 * math.log(n_trials + 1) + 7.0
-    top = abs(log_pmf)
-    start = 0
-    while True:
-        stop = min(start + block, n_trials)
-        m = np.arange(start, stop, dtype=np.float64)  # the steps m -> m + 1
-        steps = log_odds + np.log(n_trials - m) - np.log(m + 1.0)
-        log_pmfs = np.add.accumulate(np.concatenate(([log_pmf], steps)))[1:]
-        log_cdfs = np.logaddexp.accumulate(np.concatenate(([log_cdf], log_pmfs)))[1:]
-        top = max(top, float(np.abs(log_pmfs).max()))
-        drift = 2.0 * _EPS * stop * (scale + 2.0 * top)
-        counts = m + 1.0
-        at_end = counts >= n_trials
-        tail = counts > mean
-        maybe = (log_u <= log_cdfs + drift) | at_end | (tail & (log_pmfs < -745.0 + drift))
-        hits = np.flatnonzero(maybe)
-        if len(hits):
-            c = hits[0]
-            sure = log_u <= log_cdfs[c] - drift or at_end[c] or (tail[c] and log_pmfs[c] < -745.0 - drift)
-            return start + 1 + int(c) if sure else None
-        log_pmf, log_cdf = float(log_pmfs[-1]), float(log_cdfs[-1])
-        start = stop
+    stop = min(start + size, n_trials)
+    m = np.arange(start, stop, dtype=np.float64)  # the steps m -> m + 1
+    steps = log_odds + np.log(n_trials - m) - np.log(m + 1.0)
+    log_pmfs = np.add.accumulate(np.concatenate(([log_pmf], steps)))[1:]
+    log_cdfs = np.logaddexp.accumulate(np.concatenate(([log_cdf], log_pmfs)))[1:]
+    top = max(top, float(np.abs(log_pmfs).max()))
+    drift = 2.0 * _EPS * stop * (scale + 2.0 * top)
+    at_end = m + 1.0 >= n_trials
+    maybe = at_end | ((m + 1.0 > mean) & (log_pmfs < -745.0 + drift))  # the tail break
+    hits = np.flatnonzero(maybe)
+    e = int(hits[0]) if len(hits) else len(m)
+    sure = e < len(m) and bool(at_end[e] or log_pmfs[e] < -745.0 - drift)  # maybe[e] holds
+    hi, lo = log_cdfs + drift, log_cdfs - drift
+    skip = min(int(np.searchsorted(hi, _MIN_LOG_U)), e)
+    hi, lo = hi[skip:].copy(), lo[skip:].copy()  # copies, so the cache frees the rest
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo, skip, e, sure, (stop, float(log_pmfs[-1]), float(log_cdfs[-1]), top)
 
 
 def _logaddexp(a: float, b: float) -> float:

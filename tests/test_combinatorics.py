@@ -123,6 +123,16 @@ def test_rank_unrank_round_trip(case):
     assert colex_unrank_array(ranks, j, n).tolist() == [list(colex_unrank(r, j, n)) for r in ranks]
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_unrank_array_matches_scalar_at_the_rank_ends(size):
+    # the size-1 column is the identity, so the last position is the remainder + 1
+    for n in (size, size + 1, 9, 40):
+        ranks = sorted({0, min(1, binomial(n, size) - 1), binomial(n, size) - 1})
+        rows = colex_unrank_array(ranks, size, n)
+        assert rows.dtype == np.int64 and rows.shape == (len(ranks), size)
+        assert rows.tolist() == [list(colex_unrank(r, size, n)) for r in ranks], n
+
+
 def test_array_kernels_saturate_without_overflow():
     # C(v, i) passes 2^63 for mid-sized i at v < 70, but C(70, 65) fits
     n, k = 70, 65

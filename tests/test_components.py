@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hyperphase.components import (
     largest_component_jsets,
 )
 from hyperphase.errors import ResourceLimitError, ValidationError
-from hyperphase.models import Hypergraph, sample_binomial
+from hyperphase.models import Hypergraph, process_stream, sample_binomial
 from hyperphase.params import Params
 
 
@@ -93,6 +93,21 @@ def test_apply_edge_validates():
             uf.apply_edge(bad)
     assert uf.edges_applied == 0 and uf.num_sets_remaining == 6
     assert uf.apply_edge((np.int64(1), 2, np.int32(3))) == 2
+
+
+@pytest.mark.parametrize(
+    "params", [Params(3, 2, 12), Params(4, 2, 16), Params(3, 1, 60), Params(4, 3, 9), Params(4, 2, 9)]
+)
+def test_apply_edge_walk_counts_the_roots_it_retires(params):
+    # one edge's ranks are few against C(n, j), so each hook's retired roots
+    # are counted instead of the labels recounted (the last params recount)
+    uf, edges, unions = JSetUnionFind(params), [], 0
+    for edge in islice(process_stream(params, 3), 150):
+        edges.append(edge)
+        unions += uf.apply_edge(edge)
+        remaining = int(np.count_nonzero(np.bincount(uf._labels)))
+        assert uf.num_sets_remaining == remaining == params.num_jsets - unions
+    assert uf.summary() == component_summary(Hypergraph(params, tuple(edges)))
 
 
 def test_bfs_explore_rejects_non_integer_start():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperphase.combinatorics import binomial
+from hyperphase.combinatorics import binomial, colex_unrank
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase import models
 from hyperphase.models import (
@@ -64,6 +64,64 @@ def test_hypergraph_rejects_bad_edges():
             Hypergraph(params, form(((1, 2, 6),)))
         with pytest.raises(ValidationError, match="vertices must be integers"):
             Hypergraph(params, form(((1.2, 1.5, 3),)))
+
+
+def test_hypergraph_from_ranks_rejects_bad_ranks(monkeypatch):
+    params = Params(3, 2, 6)  # C(6, 3) = 20 edges
+    for bad, match in (
+        ([3, 1], "strictly increasing"),
+        ([1, 4, 4], "strictly increasing"),
+        ([-1, 2], r"strictly increasing in \[0, 20\)"),
+        ([5, 20], r"strictly increasing in \[0, 20\)"),
+        ([2**62 + 1, -(2**62), 5], r"strictly increasing in \[0, 20\)"),  # b - a wraps past int64
+        (np.array([5, 3], dtype=np.uint64), "signed integers"),
+        ([0.0, 1.0], "signed integers"),
+        ([[0, 1]], "1-d"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            Hypergraph.from_ranks(params, np.array(bad))
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "12")  # C(6, 2) = 15 j-sets are never allocated here
+    assert Hypergraph.from_ranks(params, np.arange(12)).m == 12
+    with pytest.raises(ResourceLimitError, match="edge count m = 13 exceeds the guardrail cap 12"):
+        Hypergraph.from_ranks(params, np.arange(13))
+
+
+def test_hypergraph_from_ranks_equals_the_edge_form():
+    rs = np.random.default_rng(5)
+    for params in (Params(3, 2, 9), Params(4, 1, 11), Params(2, 1, 30)):
+        total = params.num_ksets
+        for size in (0, 1, 7, total // 2, total - 3, total):
+            ranks = np.sort(rs.choice(total, size, replace=False)).astype(np.int64)
+            h = Hypergraph.from_ranks(params, ranks)
+            edges = [colex_unrank(int(r), params.k, params.n) for r in ranks]
+            random.Random(size).shuffle(edges)
+            expected = Hypergraph(params, tuple(edges))
+            assert h == expected and np.array_equal(h.array, expected.array)
+            assert h.array.dtype == np.int64 and h.array.shape == (size, params.k)
+            assert not h.array.flags.writeable
+    empty = Hypergraph.from_ranks(Params(3, 2, 6), np.empty(0, dtype=np.int64))
+    assert empty == Hypergraph(Params(3, 2, 6)) and empty.array.shape == (0, 3)
+
+
+@pytest.mark.parametrize("M", [0, 1, 40, 60, 61, 100, 120])
+def test_samplers_build_the_edge_form_from_sorted_ranks(M):
+    # each sample equals the edge-form Hypergraph of its draw-order ranks;
+    # M > C(10, 3) / 2 = 60 takes the complement draw, already ascending
+    params = Params(3, 2, 10)
+    total = params.num_ksets
+    for seed in range(3):
+        ranks = models._draw_distinct_ranks(random.Random(seed), total, M)
+        expected = Hypergraph(params, models.colex_unrank_array(ranks, params.k, params.n))
+        h = sample_uniform(params, M, seed)
+        assert h == expected and np.array_equal(h.array, expected.array)
+        if M > total // 2:
+            assert (np.diff(ranks) > 0).all()
+    for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+        rng = random.Random(M)
+        ranks = models._draw_distinct_ranks(rng, total, models._draw_binomial_count(rng, total, p))
+        expected = Hypergraph(params, models.colex_unrank_array(ranks, params.k, params.n))
+        h = sample_binomial(params, p, M)
+        assert h == expected and np.array_equal(h.array, expected.array)
 
 
 def test_sample_binomial_extremes():
@@ -340,3 +398,59 @@ def test_binomial_inversion_tail_break():
     assert models._inversion_crossing(log_u, n_trials, p) is None
     # a level above every CDF value reaches the replay's own tail test
     assert models._inversion_crossing(1e-6, n_trials, p) == models._scalar_inversion(1e-6, n_trials, p) == m
+
+
+@pytest.mark.parametrize(
+    "n_trials,p",
+    [(1, 0.3), (40, 0.02), (1000, 0.2), (161_700, 0.12), (551_300, 0.0036), (10**6, 0.07)],
+)
+def test_cached_inversion_blocks_match_scalar_loop(n_trials, p):
+    # a cached block decides any log_u alone; past the first one (mean
+    # > 2^16, the last case) the loop continues from its carried state
+    models._inversion_block.cache_clear()
+    log_pmf = n_trials * math.log1p(-p)
+    hi, lo, skip, _, _, after = models._inversion_block(n_trials, p, 0, log_pmf, log_pmf, abs(log_pmf))
+    assert skip + len(hi) <= 2**16 + 1 and (np.diff(hi) >= 0).all()
+    assert not hi.flags.writeable and not lo.flags.writeable and hi.base is None
+    assert skip == 0 or (hi[:1] >= math.log(2.0**-53)).all()  # the first block past mean 2^16 keeps none
+    levels = [math.log(random.Random(i).random()) for i in range(6)]
+    levels += [math.log(2.0**-53), -20.0, math.log1p(-(2.0**-53)), -1e-300]  # at and past the ends of log(random())
+    answers = {}
+    for order in (sorted(levels, reverse=True), sorted(levels)):  # large log_u first, then small
+        models._inversion_block.cache_clear()
+        for log_u in order:
+            m = models._inversion_crossing(log_u, n_trials, p)
+            assert answers.setdefault(log_u, m) == m
+            assert m is None or m == models._scalar_inversion(log_u, n_trials, p)
+    assert sum(m is not None for m in answers.values()) >= 6
+    if n_trials * p > 2**16:
+        assert after[0] == skip + len(hi) < max(filter(None, answers.values()))
+        assert (np.diff(models._inversion_block(n_trials, p, *after)[0]) >= 0).all()
+    # below log(2^-53) no draw of random() reaches; the scalar loop decides it
+    assert models._inversion_crossing(-40.0, n_trials, p) in (0, None)
+
+
+def test_inversion_cache_is_bounded_and_reused():
+    maxsize = models._inversion_block.cache_info().maxsize
+    assert maxsize is not None and maxsize * (2**16 + 1) * 16 <= 10 * 2**20
+    # the steps a draw can reach: mean - 8.5 sd to mean + 10 sd, not the whole block
+    for n_trials, p, most in ((161_700, 0.1246, 50_000), (161_700, 0.00093, 10_000)):
+        log_pmf = n_trials * math.log1p(-p)
+        hi, lo, *_ = models._inversion_block(n_trials, p, 0, log_pmf, log_pmf, abs(log_pmf))
+        assert hi.nbytes + lo.nbytes < most
+    models._inversion_block.cache_clear()
+    for i in range(maxsize + 3):
+        models._inversion_crossing(-0.5, 1000 + i, 0.01)
+    models._inversion_crossing(-0.7, 1000 + maxsize + 2, 0.01)
+    info = models._inversion_block.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (maxsize, 1, maxsize + 3)
+
+
+def test_binomial_count_draw_calls_the_replay_by_module_name(monkeypatch):
+    # test_binomial_count_draw_matches_scalar_path forces the scalar loop by
+    # replacing models._inversion_crossing; the draw must look it up there
+    calls = []
+    monkeypatch.setattr(models, "_inversion_crossing", lambda log_u, n_trials, p: calls.append(p) or 12_345)
+    assert models._draw_binomial_count(random.Random(1), 161_700, 0.12) == 12_345
+    assert models._draw_binomial_count(random.Random(1), 161_700, 0.88) == 161_700 - 12_345
+    assert calls == [0.12, pytest.approx(0.12)]

@@ -80,34 +80,26 @@ class JSetUnionFind:
         that the singletons are exactly the isolated j-sets.
         Hook-and-compress (Shiloach & Vishkin 1982): each round hooks the
         roots of every edge still split to their smallest, then
-        pointer-jumps.  Roots only ever point down, so no cycle forms, and
-        each round retires a root per split edge: the distinct hooked roots
-        whose label dropped below them.  A batch of C(n, j) / 16 ranks or
-        more recounts the roots instead, in one pass over the labels."""
+        pointer-jumps, and the loop ends at the first round with none split.
+        Roots only ever point down, so no cycle forms, and each round
+        retires a root per split edge."""
         labels = self._labels
-        recount = ranks.size * 16 >= len(labels)
         pending = np.ascontiguousarray(ranks.T)  # (C(k, j), edges not yet inside one component)
-        roots = labels[pending]
-        unions = 0
         while True:
+            roots = labels[pending]
             low = roots.min(axis=0)
             split = low != roots.max(axis=0)
             if not np.count_nonzero(split):  # ndarray.any would map ~128 KB more of numpy
                 break
-            hooked = roots.ravel()
-            np.minimum.at(labels, hooked, np.tile(low, len(roots)))
-            if not recount:
-                unions += len(np.unique(hooked[labels[hooked] < hooked]))
+            for row in roots:  # row by row, so no tile of `low` is allocated
+                np.minimum.at(labels, row, low)
             labels = _compress(labels)
-            # edges that were split stay pending; compress keeps rows contiguous
-            pending = pending.compress(split, axis=1)
-            roots = labels[pending]
+            pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
         self._labels = labels
-        if recount:
-            unions = self._num_sets - int(np.count_nonzero(labels == np.arange(len(labels))))
-        self._num_sets -= unions
+        before = self._num_sets
+        self._num_sets = int(np.count_nonzero(labels == np.arange(len(labels))))
         self._edges_applied += len(ranks)
-        return unions
+        return before - self._num_sets
 
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by

@@ -15,15 +15,14 @@ seed scrambling makes nearby integer seeds independent streams.
 
 Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
 ``rng.randrange``, each kept unless already drawn, are sorted and unranked
-to k-sets.  Colex rank order is colex order, so ``Hypergraph.from_ranks``
-takes the rows as they come, with no sort or duplicate scan.  When M >
-C(n, k)/2 the complement is drawn instead, so rejection stays cheap.  Only
-``EdgeStream``, the scalar reference for the process, calls ``randrange``
-per rank: ``first_distinct_ranks`` replays its word use on one bulk
-``getrandbits`` draw and leaves the generator in the state the calls would
-have, so its first M ranks are the stream's first M.  That replay is exact
-as long as ``randrange`` keeps its word use (true of CPython 3.11, and
-pinned by the tests on the running interpreter).
+to k-sets, which come out in colex order (``Hypergraph.from_ranks``).  When
+M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
+Only ``EdgeStream``, the scalar reference for the process, calls
+``randrange`` per rank: ``first_distinct_ranks`` replays its word use on
+one bulk ``getrandbits`` draw and leaves the generator in the state the
+calls would have, so its first M ranks are the stream's first M.  That
+replay is exact as long as ``randrange`` keeps its word use (true of
+CPython 3.11, and pinned by the tests on the running interpreter).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -33,9 +32,8 @@ defines the count; ``_inversion_crossing`` replays it with numpy and
 accepts its answer only when every comparison clears a stated bound on the
 drift between ``np.log`` and ``math.log``; the scalar loop decides the
 rest.  The bound grows with the mean, so the fallback is rare below means
-of ~10^4 and common near 10^6.  The replay's log-CDF blocks do not depend
-on the uniform draw, so the last eight are cached: after the first trial
-at one (C(n, k), p), a trial's count is one ``searchsorted``.
+of ~10^4 and common near 10^6.  The replay's blocks do not depend on the
+draw and are cached, so a trial's count is one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -84,9 +82,7 @@ class _EdgeTuples:
         h.__dict__["_edges_in"] = edges
 
 
-class _ColexRows(NamedTuple):
-    """``Hypergraph.from_ranks``'s rows, canonical and in colex order."""
-
+class _ColexRows(NamedTuple):  # from_ranks's validated rows, already in colex order
     rows: np.ndarray
 
 
@@ -127,9 +123,8 @@ class Hypergraph:
 
     @classmethod
     def from_ranks(cls, params: Params, ranks: np.ndarray) -> Hypergraph:
-        """The hypergraph whose edges have the given colex ranks, which must
-        be strictly increasing integers in [0, C(n, k)).  Colex rank order is
-        colex order, so the unranked rows need no sort or duplicate scan."""
+        """The hypergraph whose edges have these colex ranks, strictly
+        increasing in [0, C(n, k)); unranked, they are already in colex order."""
         r = np.asarray(ranks)
         if r.ndim != 1 or (r.size and r.dtype.kind != "i"):
             raise ValidationError(f"edge ranks must be 1-d signed integers, got {r.dtype}{r.shape}")
@@ -363,13 +358,11 @@ def _inversion_crossing(log_u: float, n_trials: int, p: float) -> int | None:
 
 @functools.lru_cache(maxsize=8)  # each block holds at most (2^16 + 1) * 16 bytes
 def _inversion_block(n_trials: int, p: float, start: int, log_pmf: float, log_cdf: float, top: float):
-    """The replay's steps start + 1 onwards, given log pmf and log CDF at
-    `start` and the largest |log pmf| up to it: log CDF + drift (`hi`,
-    non-decreasing) and log CDF - drift (`lo`) per step from the first
-    step `skip` whose `hi` reaches log(2^-53), read-only; the first index
-    where the loop's log_u-free exit might pass (the block's length if
-    none); whether it passes there outside the drift; the next block's
-    (start, log pmf, log CDF, top).  Nothing depends on log_u: cached."""
+    """The replay's steps start + 1 onwards from log pmf, log CDF and the top
+    |log pmf| at `start`: read-only log CDF + drift (`hi`, non-decreasing)
+    and - drift (`lo`) from the first step `skip` whose `hi` reaches
+    log(2^-53); the first index where the log_u-free exit might pass (the
+    length if none) and whether it surely does; the next block's carry."""
     mean = n_trials * p
     log_odds = math.log(p) - math.log1p(-p)
     size = min(math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 - p))), _MAX_INVERSION_BLOCK) + 1

@@ -98,9 +98,7 @@ def test_apply_edge_validates():
 @pytest.mark.parametrize(
     "params", [Params(3, 2, 12), Params(4, 2, 16), Params(3, 1, 60), Params(4, 3, 9), Params(4, 2, 9)]
 )
-def test_apply_edge_walk_counts_the_roots_it_retires(params):
-    # one edge's ranks are few against C(n, j), so each hook's retired roots
-    # are counted instead of the labels recounted (the last params recount)
+def test_apply_edge_walk_keeps_the_set_count(params):
     uf, edges, unions = JSetUnionFind(params), [], 0
     for edge in islice(process_stream(params, 3), 150):
         edges.append(edge)

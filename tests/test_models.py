@@ -400,6 +400,30 @@ def test_binomial_inversion_tail_break():
     assert models._inversion_crossing(1e-6, n_trials, p) == models._scalar_inversion(1e-6, n_trials, p) == m
 
 
+def test_binomial_inversion_tail_break_within_the_drift_falls_back():
+    # bisect p until the loop's log pmf(700) sits on -745: the replay's tail
+    # test might go either way there, so its block marks the exit unsure
+    # and the crossing declines even though no CDF value is ever reached
+    n_trials, count, lo_p, hi_p = 1000, 700, 0.15, 0.25  # log pmf(700) rises with p
+    for _ in range(100):
+        p = (lo_p + hi_p) / 2
+        log_pmf = n_trials * math.log1p(-p)
+        for m in range(count):
+            log_pmf += math.log(p) - math.log1p(-p) + math.log(n_trials - m) - math.log(m + 1)
+        lo_p, hi_p = (p, hi_p) if log_pmf < -745.0 else (lo_p, p)
+    assert abs(log_pmf + 745.0) < 1e-12
+    models._inversion_block.cache_clear()
+    carry = (0, n_trials * math.log1p(-p), n_trials * math.log1p(-p), -n_trials * math.log1p(-p))
+    while True:
+        hi, _, skip, exit_at, exit_sure, after = models._inversion_block(n_trials, p, *carry)
+        if exit_at < skip + len(hi):
+            break
+        carry = after
+    assert carry[0] + 1 + exit_at == count and not exit_sure
+    assert models._inversion_crossing(1e-6, n_trials, p) is None
+    assert models._scalar_inversion(1e-6, n_trials, p) == (count if log_pmf < -745.0 else count + 1)
+
+
 @pytest.mark.parametrize(
     "n_trials,p",
     [(1, 0.3), (40, 0.02), (1000, 0.2), (161_700, 0.12), (551_300, 0.0036), (10**6, 0.07)],

@@ -68,7 +68,6 @@ from .experiments import (
 )
 from .hgio import ResultTable, parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
 from .models import (
-    EdgeStream,
     Hypergraph,
     process_stream,
     sample_binomial,

@@ -208,12 +208,12 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     """Both hitting times of the edge process, each trial from one prefix of
     it drawn as arrays: ``first_distinct_ranks`` on the trial's generator
-    gives the ranks ``process_stream`` (the scalar reference) yields, in its
-    order.  The prefix starts at C(n, k) * (ln C(n, j) + 3) / C(n - j, k - j)
-    edges, where e^-3 j-sets are expected to be isolated, and is redrawn
-    twice as long while it ends before T_c.  Ranks drawn past T_c are
-    discarded, which keeps the RNG contract: no other trial reads that
-    generator."""
+    gives the process's ranks in order, the ones ``process_stream`` reads
+    one edge at a time.  The prefix starts at C(n, k) * (ln C(n, j) + 3) /
+    C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated,
+    and is redrawn twice as long while it ends before T_c.  Ranks drawn
+    past T_c are discarded, which keeps the RNG contract: no other trial
+    reads that generator."""
     params = cfg.params
     params.check_jsets()
     total = params.num_ksets

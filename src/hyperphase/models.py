@@ -14,15 +14,15 @@ from a base seed as ``trial_seed(base, index) = base + index``; MT19937's
 seed scrambling makes nearby integer seeds independent streams.
 
 Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
-``rng.randrange``, each kept unless already drawn, are sorted and unranked
-to k-sets, which come out in colex order (``Hypergraph.from_ranks``).  When
-M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
-Only ``EdgeStream``, the scalar reference for the process, calls
-``randrange`` per rank: ``first_distinct_ranks`` replays its word use on
-one bulk ``getrandbits`` draw and leaves the generator in the state the
-calls would have, so its first M ranks are the stream's first M.  That
-replay is exact as long as ``randrange`` keeps its word use (true of
-CPython 3.11, and pinned by the tests on the running interpreter).
+repeated ``rng.randrange``, each kept unless already drawn, are sorted and
+unranked to k-sets, which come out in colex order (``Hypergraph.from_ranks``).
+When M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
+``first_distinct_ranks`` replays that loop on one bulk ``getrandbits`` draw
+and leaves the generator in the state the calls would have.  The replay
+defines the process: ``EdgeStream`` yields its ranks in draw order, and the
+samplers and ``hitting`` read the same draws.  It is exact as long as
+``randrange`` keeps its word use (true of CPython 3.11, and pinned by the
+tests on the running interpreter against the loop itself).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -43,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +145,9 @@ class EdgeStream:
     """Lazy uniform random edge sequence without repetition.
 
     Single-consumer iterator.  Exhausts (StopIteration) after C(n, k)
-    yields; ``position`` counts edges yielded so far.  Only the set of
-    already-drawn edge ranks is materialized, never the full enumeration.
+    yields; ``position`` counts edges yielded so far.  Edges are read off a
+    held ``first_distinct_ranks`` prefix, redrawn twice as long when used
+    up (a longer draw extends a shorter one): O(1) amortized draws per edge.
     """
 
     def __init__(self, params: Params, seed: int):
@@ -154,7 +155,7 @@ class EdgeStream:
         self.seed = seed
         self.position = 0
         self._total = params.num_ksets
-        self._ranks = _distinct_ranks(random.Random(seed), self._total)
+        self._ranks: list[int] = []
 
     def __iter__(self) -> "EdgeStream":
         return self
@@ -162,7 +163,10 @@ class EdgeStream:
     def __next__(self) -> Edge:
         if self.position >= self._total:
             raise StopIteration
-        r = next(self._ranks)
+        if self.position == len(self._ranks):
+            size = min(2 * self.position + 1, self._total)
+            self._ranks = first_distinct_ranks(random.Random(self.seed), self._total, size).tolist()
+        r = self._ranks[self.position]
         self.position += 1
         return colex_unrank(r, self.params.k, self.params.n)
 
@@ -232,10 +236,13 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
     W)`` returns the next W words little-endian, so a batch of draws is one
     call mapped with numpy.  The generator is then rewound with ``setstate``
     and advanced by exactly the words up to the last kept draw.  `total`
-    must fit in int64, as every binomial coefficient here does.  A batch
+    must fit in int64, as every binomial coefficient here does; `count` >
+    `total` raises ``ValidationError`` and leaves `rng` untouched.  A batch
     is at most 2 * count + 64 draws, so no array held here has more than
     3 * count + 64 int64-sized entries.
     """
+    if count > total:
+        raise ValidationError(f"cannot draw count={count} distinct ranks from total={total}")
     values = np.empty(0, dtype=np.int64)
     if count <= 0:
         return values
@@ -270,18 +277,6 @@ def _rank_candidates(rng: random.Random, bits: int, draws: int) -> np.ndarray:
     if words == 1:
         return (w >> (32 - bits)).astype(np.int64)
     return w[0::2].astype(np.int64) | (w[1::2] >> (64 - bits)).astype(np.int64) << 32
-
-
-def _distinct_ranks(rng: random.Random, total: int) -> Iterator[int]:
-    """Uniform ranks in [0, total) without repetition, in draw order, by
-    rejection against the set of ranks drawn so far.  Draws only when the
-    next rank is asked for; the caller stops after at most `total`."""
-    drawn: set[int] = set()
-    while True:
-        r = rng.randrange(total)
-        if r not in drawn:
-            drawn.add(r)
-            yield r
 
 
 def _draw_binomial_count(rng: random.Random, n_trials: int, p: float) -> int:

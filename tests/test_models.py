@@ -321,8 +321,31 @@ def test_longer_rank_draw_extends_the_stream_order(total):
         for count in sorted({min(c, total) for c in (1, 5, 60, total // 2 + 1, total)}):
             drawn = first_distinct_ranks(random.Random(seed), total, count).tolist()
             for M in sorted({0, 1, count // 3, count - 1, count}):
-                stream = models._distinct_ranks(random.Random(seed), total)
-                assert drawn[:M] == [next(stream) for _ in range(M)]
+                assert drawn[:M] == scalar_first_distinct(random.Random(seed), total, M)
+
+
+@pytest.mark.parametrize("total,count", [(5, 6), (0, 1)])
+def test_rank_draw_past_total_raises_and_leaves_rng_untouched(total, count):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValidationError, match=f"count={count}.*total={total}"):
+        first_distinct_ranks(rng, total, count)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("k,n", [(3, 9), (2, 7), (4, 10)])
+def test_stream_equals_randrange_loop_across_refills(k, n):
+    total = binomial(n, k)
+    for seed in range(5):
+        expected = [colex_unrank(r, k, n) for r in scalar_first_distinct(random.Random(seed), total, total)]
+        assert list(process_stream(Params(k, 1, n), seed)) == expected
+        stream = process_stream(Params(k, 1, n), seed)
+        for boundary in (1, 3, 7):  # the held prefix is used up here and redrawn
+            while stream.position < boundary:
+                next(stream)
+            assert stream.position == len(stream._ranks) == boundary
+            assert next(stream) == expected[boundary]
+            assert len(stream._ranks) == min(2 * boundary + 1, total)
 
 
 @pytest.mark.parametrize("total", [7, 100, 4099])

@@ -81,3 +81,29 @@ print(json.dumps([delta, rec.counts, rec.summary()["layers"]["components.apply_e
     delta, counts, calls = json.loads(run.stdout)
     assert delta == 5 and calls == 1  # C(4, 2) = 6 j-sets joined by 5 unions
     assert counts == {"components.unions": 5, "components.union_slots": 5}
+
+
+def test_installed_tracer_counts_stream_edges_and_unranks():
+    # the traced benchmark binds EdgeStream.__next__ and models.colex_unrank:
+    # process_stream must return that class and unrank through that name
+    script = f"""
+import json, sys
+from itertools import islice
+sys.path[:0] = [{str(ROOT / "bench")!r}, {str(ROOT / "src")!r}]
+from tracing import Recorder, install
+from hyperphase.models import EdgeStream, process_stream
+from hyperphase.params import Params
+rec = Recorder()
+install(rec)
+stream = process_stream(Params(3, 2, 9), 4)
+edges = list(islice(stream, 5))
+layers = rec.summary()["layers"]
+print(json.dumps([type(stream) is EdgeStream, len(edges), rec.counts,
+                  layers["models.process_stream"]["calls"], layers["combinatorics.colex_unrank"]["calls"]]))
+"""
+    cmd = [sys.executable, "-B", "-c", script]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+    is_class, edges, counts, spans, unranks = json.loads(run.stdout)
+    assert is_class and edges == 5 and spans == 5
+    assert counts == {"models.process_stream.edges": 5}
+    assert unranks == 5

@@ -182,7 +182,7 @@ def smoothness_score(
         # lexicographic order is descending colex order of the mirror images
         # v -> n + 1 - v, so count the mirrored family and read it backwards
         mirrored = jset_rank_array(n + 1 - family[:, ::-1], ell, n)
-        degs = np.bincount(mirrored.ravel(), minlength=total_ellsets)[::-1]
+        degs = np.bincount(mirrored.ravel(order="K"), minlength=total_ellsets)[::-1]
     else:
         sampled = True
         picked_ranks = np.sort(first_distinct_ranks(random.Random(seed), total_ellsets, sample_cap))

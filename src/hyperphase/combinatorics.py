@@ -148,30 +148,32 @@ def _binomial_table(i: int, n: int) -> np.ndarray:
 
 
 def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> np.ndarray:
-    """colex_unrank of every rank, as an (m, size) int64 array; size >= 1 and
-    ranks must lie in [0, C(n, size)), unchecked."""
+    """colex_unrank of every rank, as an (m, size) int64 array, the transpose of
+    a row-major buffer; size >= 1 and ranks in [0, C(n, size)), unchecked."""
     r = np.array(ranks, dtype=np.int64)
     cols = _binomial_columns(size, n)
-    out = np.empty((len(r), size), dtype=np.int64)
+    out = np.empty((size, len(r)), dtype=np.int64)
     for i in range(size, 1, -1):
         v = np.searchsorted(cols[i], r, side="right") - 1
-        out[:, i - 1] = v + 1
-        r -= cols[i, v]
-    out[:, 0] = r + 1  # C(v, 1) = v: the remainder is the smallest vertex
-    return out
+        np.add(v, 1, out=out[i - 1])
+        r -= cols[i].take(v)
+    np.add(r, 1, out=out[0])  # C(v, 1) = v: the remainder is the smallest vertex
+    return out.T
 
 
 def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
-    """jset_ranks of every row of an (m, k) array of canonical edges on [n],
-    as an (m, C(k, j)) int64 array; rows unchecked."""
+    """jset_ranks of every row of an (m, k) array of canonical edges on [n], as
+    an (m, C(k, j)) int64 array, the transpose of a row-major buffer; rows
+    unchecked."""
     m, k = edges.shape
     check_cap(f"j-set rank count m * C(k={k}, j={j})", m * math.comb(k, j))
-    # terms[i][p] = C(edges[:, p] - 1, i + 1): vertex p as a j-set's (i+1)-th
-    terms = _binomial_columns(j, n)[1:, edges.T - 1]
-    out = np.empty((len(edges), math.comb(k, j)), dtype=np.int64)
-    for c, sub in enumerate(combinations(range(k), j)):
-        out[:, c] = sum(terms[i][p] for i, p in enumerate(sub))
-    return out
+    cols = _binomial_columns(j, n)
+    v = np.subtract(edges.T, 1, order="C")  # 0-based vertices, one row per position
+    out = np.zeros((math.comb(k, j), m), dtype=np.int64)
+    for row, sub in zip(out, combinations(range(k), j)):
+        for i, p in enumerate(sub, start=1):  # the j-subset's i-th vertex is at position p
+            row += cols[i].take(v[p])
+    return out.T
 
 
 def canonical_rows(edges: np.ndarray, size: int, n: int) -> bool:

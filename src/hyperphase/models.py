@@ -17,8 +17,9 @@ Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
 repeated ``rng.randrange``, each kept unless already drawn, are sorted and
 unranked to k-sets, which come out in colex order (``Hypergraph.from_ranks``).
 When M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
-``first_distinct_ranks`` replays that loop on one bulk ``getrandbits`` draw
-and leaves the generator in the state the calls would have.  The replay
+``first_distinct_ranks`` replays that loop on one bulk ``getrandbits`` draw,
+keeps each value's first draw with one sort of packed value/index keys, and
+leaves the generator in the state the calls would have.  The replay
 defines the process: ``EdgeStream`` yields its ranks in draw order, and the
 samplers and ``hitting`` read the same draws.  It is exact as long as
 ``randrange`` keeps its word use (true of CPython 3.11, and pinned by the
@@ -237,9 +238,12 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
     call mapped with numpy.  The generator is then rewound with ``setstate``
     and advanced by exactly the words up to the last kept draw.  `total`
     must fit in int64, as every binomial coefficient here does; `count` >
-    `total` raises ``ValidationError`` and leaves `rng` untouched.  A batch
-    is at most 2 * count + 64 draws, so no array held here has more than
-    3 * count + 64 int64-sized entries.
+    `total` raises ``ValidationError`` and leaves `rng` untouched.  Kept
+    values and each batch's in-range values form one pool whose first
+    occurrences are kept, found by one sort of the packed keys value << s |
+    index (s = len(pool).bit_length()) when b + s <= 63, else by ``np.unique``.
+    A batch is at most 2 * count + 64 draws, so the pool, its keys and every
+    other array held here have at most 3 * count + 64 entries.
     """
     if count > total:
         raise ValidationError(f"cannot draw count={count} distinct ranks from total={total}")
@@ -259,7 +263,7 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
         cand = _rank_candidates(rng, bits, batch)
         hit = np.flatnonzero(cand < total)
         pool = np.concatenate((values, cand[hit]))  # kept values, then this batch's
-        first = np.sort(np.unique(pool, return_index=True)[1])[:count]
+        first = _first_occurrences(pool, bits)[:count]
         if len(first) > len(values):  # the batch added values
             last = drawn + int(hit[first[-1] - len(values)])
         values = pool[first]
@@ -267,6 +271,20 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
     rng.setstate(state)
     rng.getrandbits((32 if bits <= 32 else 64) * (last + 1))
     return values
+
+
+def _first_occurrences(pool: np.ndarray, bits: int) -> np.ndarray:
+    """Ascending indices of the first occurrence of each value in `pool`, an
+    int64 array of values below 2^bits (see ``first_distinct_ranks``)."""
+    shift = len(pool).bit_length()
+    if bits + shift > 63:
+        return np.sort(np.unique(pool, return_index=True)[1])
+    key = pool << shift | np.arange(len(pool))
+    key.sort()  # each value's occurrences in draw order
+    value = key >> shift
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = value[1:] != value[:-1]
+    return np.sort(key[head] & (1 << shift) - 1)
 
 
 def _rank_candidates(rng: random.Random, bits: int, draws: int) -> np.ndarray:

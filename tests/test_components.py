@@ -246,17 +246,30 @@ def apply_in_mode(uf, h, mode):
         return sum(uf.apply_edge(e) for e in h.edges)
     if mode == "apply_ranks":
         return batch(h.array)
+    if mode == "apply_ranks-row-major":
+        ranks = jset_rank_array(h.array, h.params.j, h.params.n)
+        assert ranks.flags.f_contiguous  # the kernel's own layout, copied row-major here
+        return uf.apply_ranks(np.ascontiguousarray(ranks))
     if mode == "batch-then-edges":
         return batch(h.array[:half]) + sum(uf.apply_edge(e) for e in h.edges[half:])
     return sum(uf.apply_edge(e) for e in h.edges[:half]) + batch(h.array[half:])
 
 
-@pytest.mark.parametrize("mode", ["apply_edge", "apply_ranks", "batch-then-edges", "edges-then-batch"])
+@pytest.mark.parametrize(
+    "mode", ["apply_edge", "apply_ranks", "apply_ranks-row-major", "batch-then-edges", "edges-then-batch"]
+)
 @given(h=small_instances())
 @settings(max_examples=40)
 def test_dsu_equals_bfs_oracle(mode, h):
     uf = JSetUnionFind(h.params)
     unions = apply_in_mode(uf, h, mode)
+    if mode == "apply_ranks-row-major":  # memory layout does not reach the labels
+        column_major = JSetUnionFind(h.params)
+        apply_in_mode(column_major, h, "apply_ranks")
+        assert np.array_equal(uf._labels, column_major._labels)
+        assert uf.num_sets_remaining == column_major.num_sets_remaining
+        assert not h.array.flags.writeable  # h came from Hypergraph.from_ranks
+        assert np.array_equal(h.array, Hypergraph(h.params, h.edges).array)
     oracle = sorted(bfs_components(h), key=lambda c: sorted(c))
     assert partition_of(uf, h.params) == oracle
     parts = uf.partition()

@@ -307,6 +307,18 @@ def test_rank_replay_matches_randrange_loop(total):
             assert replay.random() == loop.random()
 
 
+@pytest.mark.parametrize("bits", [4, 63])  # the keys of a 7-value pool fit in 63 bits, or do not
+def test_first_occurrences_keep_the_first_of_each_repeat(bits):
+    big = 2 ** (bits - 1)
+    pool = np.array([big, 5, big, 5, 7, 5, big], dtype=np.int64)
+    first = models._first_occurrences(pool, bits)
+    assert first.tolist() == [0, 1, 4]  # the last occurrences would be [4, 5, 6]
+    assert np.array_equal(first, np.sort(np.unique(pool, return_index=True)[1]))
+    assert models._first_occurrences(pool[:0], bits).tolist() == []
+    pool = np.random.default_rng(bits).integers(0, 12, 500) << (bits - 4)  # many repeats
+    assert np.array_equal(models._first_occurrences(pool, bits), np.sort(np.unique(pool, return_index=True)[1]))
+
+
 def test_rank_replay_spans_batches_near_a_full_draw():
     # 95 of 100 values: later batches must skip values kept by earlier ones
     replay, loop = random.Random(7), random.Random(7)

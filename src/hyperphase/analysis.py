@@ -173,6 +173,8 @@ def smoothness_score(
     family = canonical_array(members, j, n)
     if family is None:
         raise ValidationError(f"smoothness_score needs a nonempty family of j-sets on [{n}]")
+    if sample_cap < 1:
+        raise ValidationError(f"sample_cap must be >= 1, got {sample_cap}")
     total_ellsets = binomial(n, ell)
     check_cap("ell-sets scored", min(total_ellsets, sample_cap))
 

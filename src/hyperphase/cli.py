@@ -2,10 +2,11 @@
 
 Subcommands: sample, components, explore, sweep, hitting, degrees,
 connprobe, smooth, gw, thresholds.  Exit codes: 0 success, 1 validation
-error (including usage errors), 2 resource guardrail, arithmetic overflow
-or non-convergence.  Experiment subcommands write one row per trial (CSV
-by default, JSON with --format json) and print a short aggregate summary
-to stderr; single-result subcommands print a JSON object.
+error (including usage errors) or a file that cannot be read or written,
+2 resource guardrail, arithmetic overflow or non-convergence.  Experiment
+subcommands write one row per trial (CSV by default, JSON with --format
+json) and print a short aggregate summary to stderr; single-result
+subcommands print a JSON object.
 """
 
 from __future__ import annotations
@@ -80,18 +81,18 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text, notes = _run(args)
+        for note in notes:
+            print(note, file=sys.stderr)
+        if args.out is not None:
+            args.out.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (ResourceLimitError, OverflowError, MemoryError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for note in notes:
-        print(note, file=sys.stderr)
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

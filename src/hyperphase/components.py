@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import Edge, JSet, colex_rank, colex_unrank, colex_unrank_array
 from .combinatorics import jset_rank_array, jset_ranks, validate_subset
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ValidationError
 from .models import Hypergraph
 from .params import Params
 
@@ -63,6 +63,8 @@ class JSetUnionFind:
 
     def find(self, rank: int) -> int:
         """The smallest rank in the component of `rank`."""
+        if not 0 <= rank < len(self._labels):
+            raise ValidationError(f"j-set rank {rank} outside [0, {len(self._labels)})")
         return int(self._labels[rank])
 
     def apply_edge(self, edge: Edge) -> int:

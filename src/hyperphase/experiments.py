@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:  # random.Random seeds with |seed|, so -s would replay s's draws
+            raise ValidationError(f"seed must be >= 0, got {self.base_seed}")
         if any(eps == 0 for eps in self.eps_grid):
             raise ValidationError("eps_grid values must be nonzero")
         if self.sample_cap < 1:
@@ -211,9 +213,10 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     gives the process's ranks in order, the ones ``process_stream`` reads
     one edge at a time.  The prefix starts at C(n, k) * (ln C(n, j) + 3) /
     C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated,
-    and is redrawn twice as long while it ends before T_c.  Ranks drawn
-    past T_c are discarded, which keeps the RNG contract: no other trial
-    reads that generator."""
+    and is redrawn twice as long while it ends before T_c.  T_c is found by
+    merging forward from T_i in one union-find.  Ranks drawn past T_c are
+    discarded, which keeps the RNG contract: no other trial reads that
+    generator."""
     params = cfg.params
     params.check_jsets()
     total = params.num_ksets
@@ -232,35 +235,30 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
 def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | None:
     """(T_c, T_i) from the first `count` edges of the process on `seed`, or
     None if they are not j-connected.  T_i is one past the last first touch
-    of a j-set.  Connectivity is monotone in the prefix, so T_c is one census
-    at T_i (enough w.h.p., by the hitting-time theorem), or else a gallop and
-    a bisection."""
+    of a j-set; an isolated j-set keeps the first T_i - 1 edges split, so
+    one union-find takes the first T_i edges (j-connected there w.h.p., by
+    the hitting-time theorem) and then one more edge at a time until it is
+    j-connected."""
     check_cap("edge count m", count)
     k, j, n = params.k, params.j, params.n
     edges = colex_unrank_array(first_distinct_ranks(random.Random(seed), params.num_ksets, count), k, n)
     ranks = jset_rank_array(edges, j, n)  # row i: the j-subsets of edge i + 1, ranked once
-    del edges  # every census below takes a row slice of `ranks`
+    del edges  # the union-find below takes row slices of `ranks`
     first = np.full(params.num_jsets, count)
     np.minimum.at(first, ranks, np.arange(count)[:, None])
     t_i = int(first.max()) + 1
-    del first  # freed before the censuses build their union-finds
+    del first  # freed before the union-find is built
     if t_i > count:
         return None
-
-    def connected(m: int) -> bool:
-        uf = JSetUnionFind(params)
-        uf.apply_ranks(ranks[:m])
-        return uf.is_j_connected
-
-    lo, hi, step = t_i - 1, t_i, 1  # an isolated j-set keeps the first t_i - 1 edges split
-    while not connected(hi):
-        if hi == count:
+    uf = JSetUnionFind(params)
+    uf.apply_ranks(ranks[:t_i])
+    t_c = t_i
+    while not uf.is_j_connected:
+        if t_c == count:
             return None
-        lo, hi, step = hi, min(hi + step, count), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if connected(mid) else (mid, hi)
-    return hi, t_i
+        uf.apply_ranks(ranks[t_c:t_c + 1])
+        t_c += 1
+    return t_c, t_i
 
 
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:

@@ -7,7 +7,8 @@ Edge-list format (UTF-8, LF):
     v1 v2 ... vk        (m lines, 1-based, strictly increasing)
 
 Config format: flat ``key=value`` lines, ``#`` comments allowed.  Known
-keys: k, j, n (required), trials (default 50), seed (default 1), eps,
+keys: k, j, n (required), trials (default 50), seed (default 1, >= 0:
+``random.Random`` seeds with |seed|, so -s would repeat s's draws), eps,
 gamma, omega, s, c, delta (default 0.25), eps_grid (comma-separated
 floats), ell_list (comma-separated ints), sample_cap (default 10^6).
 

@@ -17,9 +17,10 @@ Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
 repeated ``rng.randrange``, each kept unless already drawn, are sorted and
 unranked to k-sets, which come out in colex order (``Hypergraph.from_ranks``).
 When M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
-``first_distinct_ranks`` replays that loop on one bulk ``getrandbits`` draw,
-keeps each value's first draw with one sort of packed value/index keys, and
-leaves the generator in the state the calls would have.  The replay
+``first_distinct_ranks`` replays that loop's values on bulk ``getrandbits``
+draws and keeps each value's first draw with one sort of packed value/index
+keys.  It reads words past the last kept draw, so it is the generator's last
+use: every caller seeds a fresh one and drops it after.  The replay
 defines the process: ``EdgeStream`` yields its ranks in draw order, and the
 samplers and ``hitting`` read the same draws.  It is exact as long as
 ``randrange`` keeps its word use (true of CPython 3.11, and pinned by the
@@ -228,22 +229,22 @@ def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
 
 def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarray:
     """The first `count` distinct values of repeated ``rng.randrange(total)``,
-    in draw order, as int64; `rng` is left as those calls would leave it.
+    in draw order, as int64.  `rng` is spent: the batches read words past
+    the last kept draw.
 
     ``randrange(total)`` draws b = total.bit_length() bits and rejects
     values >= total.  For b <= 32 the bits are one 32-bit MT19937 word
     shifted right by 32 - b; for 33 <= b <= 63 they are two words, the low
     one first and the high one shifted right by 64 - b.  ``getrandbits(32 *
     W)`` returns the next W words little-endian, so a batch of draws is one
-    call mapped with numpy.  The generator is then rewound with ``setstate``
-    and advanced by exactly the words up to the last kept draw.  `total`
-    must fit in int64, as every binomial coefficient here does; `count` >
-    `total` raises ``ValidationError`` and leaves `rng` untouched.  Kept
-    values and each batch's in-range values form one pool whose first
-    occurrences are kept, found by one sort of the packed keys value << s |
-    index (s = len(pool).bit_length()) when b + s <= 63, else by ``np.unique``.
-    A batch is at most 2 * count + 64 draws, so the pool, its keys and every
-    other array held here have at most 3 * count + 64 entries.
+    call mapped with numpy.  `total` must fit in int64, as every binomial
+    coefficient here does; `count` > `total` raises ``ValidationError``
+    before any word is drawn.  Kept values and each batch's in-range values
+    form one pool whose first occurrences are kept, found by one sort of the
+    packed keys value << s | index (s = len(pool).bit_length()) when b + s
+    <= 63, else by ``np.unique``.  A batch is at most 2 * count + 64 draws,
+    so the pool, its keys and every other array held here have at most 3 *
+    count + 64 entries.
     """
     if count > total:
         raise ValidationError(f"cannot draw count={count} distinct ranks from total={total}")
@@ -251,25 +252,15 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
     if count <= 0:
         return values
     bits = total.bit_length()
-    state = rng.getstate()
-    drawn = last = 0  # draws made; index of the draw behind values[-1]
     while len(values) < count:
         free = total - len(values)
         need = count - len(values)
         # expected draws for `need` new values: 2^b / total per in-range
         # draw, times total * ln(free / (free - need)) in-range draws
         expected = (1 << bits) * -math.log1p(-need / free) if need < free else math.inf
-        batch = int(min(1.05 * expected + 32, 2 * count + 64))
-        cand = _rank_candidates(rng, bits, batch)
-        hit = np.flatnonzero(cand < total)
-        pool = np.concatenate((values, cand[hit]))  # kept values, then this batch's
-        first = _first_occurrences(pool, bits)[:count]
-        if len(first) > len(values):  # the batch added values
-            last = drawn + int(hit[first[-1] - len(values)])
-        values = pool[first]
-        drawn += batch
-    rng.setstate(state)
-    rng.getrandbits((32 if bits <= 32 else 64) * (last + 1))
+        cand = _rank_candidates(rng, bits, int(min(1.05 * expected + 32, 2 * count + 64)))
+        pool = np.concatenate((values, cand[cand < total]))  # kept values, then this batch's
+        values = pool[_first_occurrences(pool, bits)[:count]]
     return values
 
 

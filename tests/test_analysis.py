@@ -210,6 +210,12 @@ def test_smoothness_validation():
         smoothness_score([], 1, params)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_smoothness_rejects_a_sample_cap_below_one(cap):
+    with pytest.raises(ValidationError, match=f"sample_cap must be >= 1, got {cap}"):
+        smoothness_score([(1, 2)], 1, Params(3, 2, 30), sample_cap=cap)
+
+
 def test_smoothness_sampling_path_is_deterministic():
     params = Params(3, 2, 30)
     family = [(1, 2), (2, 3), (10, 20)]

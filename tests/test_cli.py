@@ -238,6 +238,23 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert code == 1 and "j must satisfy" in err
 
 
+def test_exit_code_negative_seed(tmp_path, capsys):
+    # random.Random(-3) draws what random.Random(3) does, so trials 0 and 6 would repeat
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=3\nj=2\nn=20\ntrials=7\neps_grid=0.5\n", encoding="utf-8")
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--seed", "-3"])
+    assert code == 1 and "seed must be >= 0, got -3" in err and out == ""
+
+
+def test_exit_code_missing_files(tmp_path, capsys, config_100):
+    code, out, err = run(capsys, ["sweep", "--config", str(tmp_path / "nonexistent.txt")])
+    assert code == 1 and err.startswith("error: ") and "nonexistent.txt" in err and out == ""
+    code, out, err = run(capsys, ["components", str(tmp_path / "missing.hg"), "--j", "2"])
+    assert code == 1 and err.startswith("error: ") and "missing.hg" in err and out == ""
+    code, out, err = run(capsys, ["thresholds", "--config", str(config_100), "--out", str(tmp_path / "no-dir" / "t")])
+    assert code == 1 and err.startswith("error: ") and "no-dir" in err and out == ""
+
+
 def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "5")  # file has C(4,2) = 6 j-sets
     path = tmp_path / "in.hg"

@@ -82,6 +82,15 @@ def test_apply_edge_merges_and_is_idempotent():
     assert expected[0] == frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)})
 
 
+def test_find_rejects_ranks_outside_the_jsets():
+    uf = JSetUnionFind(Params(3, 2, 6))  # C(6, 2) = 15 j-sets
+    uf.apply_edge((1, 2, 3))
+    assert [uf.find(r) for r in (0, 1, 2, 14)] == [0, 0, 0, 14]
+    for rank in (-1, 15):
+        with pytest.raises(ValidationError, match=rf"rank {rank} outside \[0, 15\)"):
+            uf.find(rank)
+
+
 def test_apply_edge_validates():
     uf = JSetUnionFind(Params(3, 2, 4))
     with pytest.raises(ValidationError):

@@ -42,6 +42,8 @@ def test_config_validation():
         ExperimentConfig(params=params, eps_grid=(0.1, 0.0))
     with pytest.raises(ValidationError):
         ExperimentConfig(params=params, sample_cap=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        ExperimentConfig(params=params, base_seed=-3)
     with pytest.raises(ValidationError, match="omega"):
         ExperimentConfig(params=params).require("omega")
 
@@ -172,7 +174,7 @@ def test_hitting_matches_per_edge_walk(monkeypatch):
         assert records == per_edge_hitting_time(cfg)
         gaps += [r.t_c - r.t_i for r in records]
     assert None in prefixes  # a prefix ended before T_c and was redrawn longer
-    assert max(gaps) >= 3  # T_c > T_i + 2 takes the gallop and then the bisection
+    assert max(gaps) >= 3  # T_c > T_i + 2 merges several edges forward from T_i
 
 
 def test_hitting_ranks_each_prefix_once(monkeypatch):
@@ -194,6 +196,29 @@ def test_hitting_ranks_each_prefix_once(monkeypatch):
     records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
     assert len(prefixes) > len(records)  # one trial's first prefix was redrawn longer
     assert ranked == prefixes
+
+
+def test_hitting_builds_one_union_find_per_prefix(monkeypatch):
+    calls, built = [], []
+    hitting_times = experiments._hitting_times
+
+    def spy_prefix(params, seed, count):
+        before = len(built)
+        times = hitting_times(params, seed, count)
+        calls.append((times, len(built) - before))
+        return times
+
+    class SpyUnionFind(JSetUnionFind):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    monkeypatch.setattr(experiments, "_hitting_times", spy_prefix)
+    monkeypatch.setattr(experiments, "JSetUnionFind", SpyUnionFind)
+    records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
+    assert (records[13].t_c, records[13].t_i) == (26, 24)  # T_c > T_i: two edges merged past T_i
+    assert all(times is None or builds == 1 for times, builds in calls)
+    assert all(builds <= 1 for _, builds in calls)
 
 
 def test_degree_experiment_shape_and_conservation():

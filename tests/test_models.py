@@ -303,8 +303,6 @@ def test_rank_replay_matches_randrange_loop(total):
             ranks = first_distinct_ranks(replay, total, count)
             assert ranks.dtype == np.int64
             assert ranks.tolist() == scalar_first_distinct(loop, total, count)
-            assert replay.getstate() == loop.getstate()
-            assert replay.random() == loop.random()
 
 
 @pytest.mark.parametrize("bits", [4, 63])  # the keys of a 7-value pool fit in 63 bits, or do not
@@ -323,7 +321,6 @@ def test_rank_replay_spans_batches_near_a_full_draw():
     # 95 of 100 values: later batches must skip values kept by earlier ones
     replay, loop = random.Random(7), random.Random(7)
     assert first_distinct_ranks(replay, 100, 95).tolist() == scalar_first_distinct(loop, 100, 95)
-    assert replay.getstate() == loop.getstate()
 
 
 @pytest.mark.parametrize("total", [1, 7, 100, 4060])
@@ -372,7 +369,6 @@ def test_complement_rank_draw_matches_randrange_loop(total):
             else:
                 expected = scalar_first_distinct(loop, total, count)
             assert ranks.dtype == np.int64 and ranks.tolist() == expected
-            assert drawn.getstate() == loop.getstate()
 
 
 def scalar_log_cdfs(n_trials, p, steps):

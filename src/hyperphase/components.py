@@ -6,10 +6,11 @@ union-find engine exact: the C(k, j) j-subsets of one edge are pairwise
 j-connected through that edge alone, and two edges intersect in >= j
 vertices exactly when they share a full j-set.  Merging every applied
 edge's j-subsets therefore produces precisely the transitive closure of
-the walk relation.  The engine has one merge kernel,
-``JSetUnionFind.apply_ranks``: it labels the rows of an int64 j-set rank
-array by hook-and-compress; ``apply_edge`` and ``component_summary``
-rank one edge or a whole ``Hypergraph.array`` and call it.
+the walk relation.  The engine has one merge kernel, ``merge_ranks``: it
+labels the rows of an int64 j-set rank array by hook-and-compress.
+``JSetUnionFind.apply_ranks`` wraps it, and ``apply_edge`` and
+``component_summary`` rank one edge or a whole ``Hypergraph.array`` and
+call that; ``hitting`` calls it on one label array per batch of trials.
 ``bfs_components`` recomputes components from pairwise edge intersections
 instead and exists to cross-check that equivalence, not to restate it.
 """
@@ -37,9 +38,9 @@ class JSetUnionFind:
     The labels are always fully compressed: every j-set points straight at
     the smallest rank of its component, and they are the whole per-j-set
     state: component sizes, isolated j-sets (the singletons) and
-    connectivity all come from them.  ``apply_ranks`` is the one merge
-    kernel; ``apply_edge`` ranks one edge and calls it.  Single-writer: no
-    concurrent mutation.
+    connectivity all come from them.  ``apply_ranks`` merges with the one
+    kernel, ``merge_ranks``; ``apply_edge`` ranks one edge and calls it.
+    Single-writer: no concurrent mutation.
     """
 
     def __init__(self, params: Params):
@@ -76,28 +77,11 @@ class JSetUnionFind:
         return self.apply_ranks(np.array([jset_ranks(edge, self.params.j)], dtype=np.int64))
 
     def apply_ranks(self, ranks: np.ndarray) -> int:
-        """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array;
-        returns unions performed.  Each row must hold one edge's C(k, j)
-        distinct ranks, as ``jset_rank_array`` gives them (unchecked), so
-        that the singletons are exactly the isolated j-sets.
-        Hook-and-compress (Shiloach & Vishkin 1982): each round hooks the
-        roots of every edge still split to their smallest, then
-        pointer-jumps, and the loop ends at the first round with none split.
-        Roots only ever point down, so no cycle forms, and each round
-        retires a root per split edge."""
-        labels = self._labels
-        pending = np.ascontiguousarray(ranks.T)  # (C(k, j), edges not yet inside one component)
-        while True:
-            roots = labels[pending]
-            low = roots.min(axis=0)
-            split = low != roots.max(axis=0)
-            if not np.count_nonzero(split):  # ndarray.any would map ~128 KB more of numpy
-                break
-            for row in roots:  # row by row, so no tile of `low` is allocated
-                np.minimum.at(labels, row, low)
-            labels = _compress(labels)
-            pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
-        self._labels = labels
+        """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array
+        with ``merge_ranks``; returns unions performed.  Each row must hold
+        one edge's C(k, j) distinct ranks, as ``jset_rank_array`` gives them
+        (unchecked), so that the singletons are exactly the isolated j-sets."""
+        labels = self._labels = merge_ranks(self._labels, ranks)
         before = self._num_sets
         self._num_sets = int(np.count_nonzero(labels == np.arange(len(labels))))
         self._edges_applied += len(ranks)
@@ -165,6 +149,28 @@ class ExplorationRecord:
     def boundary(self) -> tuple[JSet, ...]:
         """The last generation discovered before the exploration stopped."""
         return self.generations[-1]
+
+
+def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The one merge kernel: fully compressed int64 `labels` (each the
+    smallest index of its set) with the indices of each row of the (m, r)
+    int64 array `ranks` joined into one set; `labels` is updated in place
+    and may be replaced, so use the labels returned.  Hook-and-compress
+    (Shiloach & Vishkin 1982): each round hooks the roots of every row still
+    split to their smallest, then pointer-jumps, and the loop ends at the
+    first round with none split.  Roots only ever point down, so no cycle
+    forms, and each round retires a root per split row."""
+    pending = np.ascontiguousarray(ranks.T)  # (r, rows not yet inside one set)
+    while True:
+        roots = labels[pending]
+        low = roots.min(axis=0)
+        split = low != roots.max(axis=0)
+        if not np.count_nonzero(split):  # ndarray.any would map ~128 KB more of numpy
+            return labels
+        for row in roots:  # row by row, so no tile of `low` is allocated
+            np.minimum.at(labels, row, low)
+        labels = _compress(labels)
+        pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
 
 
 def _compress(parent: np.ndarray) -> np.ndarray:

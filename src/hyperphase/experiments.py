@@ -3,8 +3,8 @@
 Every runner is a pure function of its ExperimentConfig: trial t uses the
 generator seeded with ``trial_seed(base_seed, t)``, the seed is recorded in
 the trial's row, and a re-run reproduces every record bit for bit.  Trials
-are independent, so they could execute in parallel; results are keyed by
-trial index either way.
+are independent; ``hitting`` reduces batches of them over shared arrays,
+each trial's j-sets offset apart, and its records equal one-trial runs.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from .analysis import (
     smoothness_score,
     thresholds,
 )
-from .combinatorics import binomial, check_cap, colex_unrank_array, jset_rank_array
-from .components import JSetUnionFind, component_summary, largest_component_jsets
+from .combinatorics import binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
+from .components import component_summary, largest_component_jsets, merge_ranks
 from .errors import ValidationError
 from .models import first_distinct_ranks, sample_binomial, trial_seed
 from .params import Params
+
+_BATCH_RANKS = 2**13  # int64 ranks in one batch of hitting prefixes: 64 KiB, under glibc's 128 KiB mmap threshold
 
 
 @dataclass(frozen=True)
@@ -208,57 +210,69 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
 
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
-    """Both hitting times of the edge process, each trial from one prefix of
-    it drawn as arrays: ``first_distinct_ranks`` on the trial's generator
+    """Both hitting times of the edge process, from one prefix of it per
+    trial drawn as arrays: ``first_distinct_ranks`` on the trial's generator
     gives the process's ranks in order, the ones ``process_stream`` reads
     one edge at a time.  The prefix starts at C(n, k) * (ln C(n, j) + 3) /
-    C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated,
-    and is redrawn twice as long while it ends before T_c.  T_c is found by
-    merging forward from T_i in one union-find.  Ranks drawn past T_c are
-    discarded, which keeps the RNG contract: no other trial reads that
-    generator."""
+    C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated.
+    ``_hitting_times`` takes consecutive trials in batches whose rank arrays
+    fit ``_BATCH_RANKS`` and the guardrail cap (one trial at least); a trial
+    whose prefix ends before T_c goes into the next pass, twice as long.
+    Ranks drawn past T_c are discarded, which keeps the RNG contract: no
+    other trial reads that generator."""
     params = cfg.params
     params.check_jsets()
     total = params.num_ksets
     per_jset = binomial(params.n - params.j, params.k - params.j)  # edges through one j-set
-    start = math.ceil(total * (math.log(params.num_jsets) + 3.0) / per_jset)
-    records: list[HittingRecord] = []
-    for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        count = min(start, total)
-        while (times := _hitting_times(params, seed, count)) is None:
-            count = min(2 * count, total)
-        records.append(HittingRecord(t, seed, *times, times[0] == times[1]))
-    return records
+    count = min(math.ceil(total * (math.log(params.num_jsets) + 3.0) / per_jset), total)
+    times: dict[int, tuple[int, int]] = {}
+    pending = list(range(cfg.trials))
+    while pending:
+        per_batch = max(1, min(_BATCH_RANKS, max_jsets_cap()) // (count * math.comb(params.k, params.j)))
+        for b in range(0, len(pending), per_batch):
+            batch = pending[b:b + per_batch]
+            seeds = [trial_seed(cfg.base_seed, t) for t in batch]
+            times.update((t, pair) for t, pair in zip(batch, _hitting_times(params, seeds, count)) if pair)
+        pending = [t for t in pending if t not in times]
+        count = min(2 * count, total)
+    return [HittingRecord(t, trial_seed(cfg.base_seed, t), *times[t], times[t][0] == times[t][1])
+            for t in range(cfg.trials)]
 
 
-def _hitting_times(params: Params, seed: int, count: int) -> tuple[int, int] | None:
-    """(T_c, T_i) from the first `count` edges of the process on `seed`, or
-    None if they are not j-connected.  T_i is one past the last first touch
-    of a j-set; an isolated j-set keeps the first T_i - 1 edges split, so
-    one union-find takes the first T_i edges (j-connected there w.h.p., by
-    the hitting-time theorem) and then one more edge at a time until it is
-    j-connected."""
+def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[int, int] | None]:
+    """(T_c, T_i) from the first `count` edges of the process on each seed,
+    or None where they are not j-connected.  The prefixes are unranked and
+    j-ranked in one pass, trial b's j-sets shifted to b * C(n, j) + rank, so
+    one first touch and one label array serve the batch.  T_i is one past a
+    trial's last first touch of a j-set; an isolated j-set keeps the first
+    T_i - 1 edges split, so one ``merge_ranks`` call takes each trial's
+    first T_i rows (j-connected there w.h.p., by the hitting-time theorem),
+    and each later call one more row of every trial still split.  The labels
+    (B * C(n, j)) and ranks (B * count * C(k, j)) never pass the larger of
+    one trial's arrays and ``_BATCH_RANKS``."""
     check_cap("edge count m", count)
-    k, j, n = params.k, params.j, params.n
-    edges = colex_unrank_array(first_distinct_ranks(random.Random(seed), params.num_ksets, count), k, n)
-    ranks = jset_rank_array(edges, j, n)  # row i: the j-subsets of edge i + 1, ranked once
-    del edges  # the union-find below takes row slices of `ranks`
-    first = np.full(params.num_jsets, count)
-    np.minimum.at(first, ranks, np.arange(count)[:, None])
-    t_i = int(first.max()) + 1
-    del first  # freed before the union-find is built
-    if t_i > count:
-        return None
-    uf = JSetUnionFind(params)
-    uf.apply_ranks(ranks[:t_i])
-    t_c = t_i
-    while not uf.is_j_connected:
-        if t_c == count:
-            return None
-        uf.apply_ranks(ranks[t_c:t_c + 1])
-        t_c += 1
-    return t_c, t_i
+    batch, size = len(seeds), params.num_jsets
+    base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
+    prefix = np.concatenate([first_distinct_ranks(random.Random(s), params.num_ksets, count) for s in seeds])
+    ranks = jset_rank_array(colex_unrank_array(prefix, params.k, params.n), params.j, params.n).T
+    shifted = ranks.reshape(-1, batch, count)  # a view of the C-contiguous (C(k, j), B * count) buffer
+    shifted += base[:, None]
+    first = np.full(batch * size, count)
+    np.minimum.at(first, ranks.ravel(), np.tile(np.arange(count), ranks.size // count))
+    t_i = first.reshape(batch, size).max(axis=1) + 1
+    del first  # freed before the labels are built
+    ends = np.where(t_i <= count, t_i, 0)  # a trial with an untouched j-set merges nothing
+    labels = merge_ranks(np.arange(batch * size), ranks[:, (np.arange(count) < ends[:, None]).ravel()].T)
+    t_c, live = ends.copy(), np.flatnonzero(ends)
+    while True:
+        live = live[labels.reshape(batch, size)[live].max(axis=1) != base[live]]  # still split
+        live = live[t_c[live] < count]
+        if not len(live):
+            break
+        labels = merge_ranks(labels, ranks[:, live * count + t_c[live]].T)
+        t_c[live] += 1
+    connected = labels.reshape(batch, size).max(axis=1) == base  # one label, the block's smallest
+    return [(int(c), int(i)) if ok else None for c, i, ok in zip(t_c, t_i, connected)]
 
 
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:

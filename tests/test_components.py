@@ -14,8 +14,11 @@ from hyperphase.components import (
     bfs_explore,
     component_summary,
     largest_component_jsets,
+    merge_ranks,
 )
+from hyperphase import experiments
 from hyperphase.errors import ResourceLimitError, ValidationError
+from hyperphase.experiments import ExperimentConfig, run_hitting_time
 from hyperphase.models import Hypergraph, process_stream, sample_binomial
 from hyperphase.params import Params
 
@@ -67,6 +70,24 @@ def test_dsu_footprint_per_jset():
     finally:
         tracemalloc.stop()
     assert peak / params.num_jsets <= 8.5
+
+
+def test_hitting_footprint_is_one_batch():
+    # a batch holds its ranks (at most _BATCH_RANKS int64 here, where one trial
+    # has fewer), the prefix and edges they come from, the first-touch
+    # positions and the merge's copies; its labels and first touch, B * C(n, j)
+    # entries each, are smaller than its ranks.  Six rank arrays' worth bounds
+    # all of it, whatever the number of trials.
+    for params in (Params(3, 2, 30), Params(2, 1, 50)):  # 3,948 and 346 ranks per trial
+        cfg = ExperimentConfig(params=params, trials=150, base_seed=1)
+        run_hitting_time(ExperimentConfig(params=params, trials=1))  # binomial tables cached
+        tracemalloc.start()
+        try:
+            run_hitting_time(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (6 * experiments._BATCH_RANKS + 2 * params.num_jsets)
 
 
 def test_apply_edge_merges_and_is_idempotent():
@@ -291,6 +312,30 @@ def test_dsu_equals_bfs_oracle(mode, h):
     assert (s.largest, s.second, s.num_nontrivial) == (sizes[0], sizes[1], len(oracle))
     assert s.isolated_count == h.params.num_jsets - sum(sizes)
     assert s == component_summary(h)
+
+
+@st.composite
+def instance_batches(draw):
+    """One to four binomial samples sharing the (k, j, n) of the first."""
+    first = draw(small_instances())
+    rest = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**6)), max_size=3))
+    return [first] + [sample_binomial(first.params, p, seed) for p, seed in rest]
+
+
+@given(instance_batches(), st.data())
+@settings(max_examples=40)
+def test_merge_ranks_keeps_offset_blocks_apart(hs, data):
+    params = hs[0].params
+    size = params.num_jsets
+    rows = np.concatenate(
+        [jset_rank_array(h.array, params.j, params.n) + b * size for b, h in enumerate(hs)]
+    )
+    rows = rows[data.draw(st.permutations(range(len(rows))))]  # the blocks' rows interleaved
+    labels = merge_ranks(np.arange(len(hs) * size), rows)
+    for b, h in enumerate(hs):
+        uf = JSetUnionFind(params)
+        uf.apply_ranks(jset_rank_array(h.array, params.j, params.n))
+        assert np.array_equal(labels[b * size:(b + 1) * size], uf._labels + b * size)
 
 
 @given(small_instances())

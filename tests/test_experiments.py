@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -158,67 +159,89 @@ HITTING_BATTERY = [
 ]
 
 
-def test_hitting_matches_per_edge_walk(monkeypatch):
-    prefixes = []
+def spy_batches(monkeypatch):
+    """Record (trials, count, results) for every batch ``run_hitting_time``
+    hands to ``_hitting_times``."""
+    batches = []
     hitting_times = experiments._hitting_times
 
-    def spy(params, seed, count):
-        prefixes.append(hitting_times(params, seed, count))
-        return prefixes[-1]
+    def spy(params, seeds, count):
+        batches.append((len(seeds), count, hitting_times(params, seeds, count)))
+        return batches[-1][2]
 
     monkeypatch.setattr(experiments, "_hitting_times", spy)
+    return batches
+
+
+def test_hitting_matches_per_edge_walk(monkeypatch):
+    batches = spy_batches(monkeypatch)
     gaps = []
     for params in HITTING_BATTERY:
         cfg = ExperimentConfig(params=params, trials=15, base_seed=11)
         records = run_hitting_time(cfg)
         assert records == per_edge_hitting_time(cfg)
         gaps += [r.t_c - r.t_i for r in records]
-    assert None in prefixes  # a prefix ended before T_c and was redrawn longer
+    assert any(None in found for _, _, found in batches)  # a prefix ended before T_c
+    assert any(count > batches[0][1] for _, count, _ in batches[1:])  # and was redrawn longer
     assert max(gaps) >= 3  # T_c > T_i + 2 merges several edges forward from T_i
 
 
 def test_hitting_ranks_each_prefix_once(monkeypatch):
-    prefixes, ranked = [], []
-    hitting_times = experiments._hitting_times
+    batches, ranked = spy_batches(monkeypatch), []
     rank_array = experiments.jset_rank_array
-
-    def spy_prefix(params, seed, count):
-        prefixes.append(count)
-        return hitting_times(params, seed, count)
 
     def spy_rank(*args):
         ranked.append(args[0].shape[0])
         return rank_array(*args)
 
-    monkeypatch.setattr(experiments, "_hitting_times", spy_prefix)
     monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
     monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # a component_summary census would rank here
-    records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
-    assert len(prefixes) > len(records)  # one trial's first prefix was redrawn longer
-    assert ranked == prefixes
+    run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
+    assert [(trials, count) for trials, count, _ in batches] == [(15, 60), (1, 120)]  # trial 5 redrawn
+    assert ranked == [trials * count for trials, count, _ in batches]  # one pass per batch
 
 
-def test_hitting_builds_one_union_find_per_prefix(monkeypatch):
-    calls, built = [], []
-    hitting_times = experiments._hitting_times
+def test_hitting_merges_one_label_array_per_batch(monkeypatch):
+    batches, merges = spy_batches(monkeypatch), []
+    merge = experiments.merge_ranks
 
-    def spy_prefix(params, seed, count):
-        before = len(built)
-        times = hitting_times(params, seed, count)
-        calls.append((times, len(built) - before))
-        return times
+    def spy_merge(labels, ranks):
+        merges.append((len(batches), len(ranks)))  # the batch it belongs to, its rows
+        return merge(labels, ranks)
 
-    class SpyUnionFind(JSetUnionFind):
-        def __init__(self, params):
-            built.append(params)
-            super().__init__(params)
+    def no_union_find(self, params):
+        raise AssertionError("hitting merges one label array per batch, not a union-find per trial")
 
-    monkeypatch.setattr(experiments, "_hitting_times", spy_prefix)
-    monkeypatch.setattr(experiments, "JSetUnionFind", SpyUnionFind)
-    records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
+    monkeypatch.setattr(experiments, "merge_ranks", spy_merge)
+    monkeypatch.setattr(components.JSetUnionFind, "__init__", no_union_find)
+    records = run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=40, base_seed=11))
     assert (records[13].t_c, records[13].t_i) == (26, 24)  # T_c > T_i: two edges merged past T_i
-    assert all(times is None or builds == 1 for times, builds in calls)
-    assert all(builds <= 1 for _, builds in calls)
+    for b, (_, _, found) in enumerate(batches):
+        times = [t for t in found if t]  # here every None had a j-set untouched: it merged nothing
+        gaps = [t_c - t_i for t_c, t_i in times]
+        steps = [sum(gap > s for gap in gaps) for s in range(max(gaps))]  # trials still split at step s
+        # one call for every trial's first T_i rows, then one per forward step
+        assert [rows for at, rows in merges if at == b] == [sum(t_i for _, t_i in times)] + steps
+    assert merges[1:3] == [(0, 3), (0, 3)]  # the batch's three split trials step together
+
+
+@pytest.mark.parametrize(
+    "params, base_seed, budget",
+    [(Params(3, 2, 30), 5, None), (Params(2, 1, 20), 11, None), (Params(2, 1, 20), 11, 512)],
+)
+def test_hitting_batches_never_mix_trials(monkeypatch, params, base_seed, budget):
+    single = [
+        run_hitting_time(ExperimentConfig(params=params, trials=1, base_seed=base_seed + t))[0]
+        for t in range(40)
+    ]
+    if budget:  # batches of 4 (2,1,20) trials, so the redraw and the forward steps fall mid-run
+        monkeypatch.setattr(experiments, "_BATCH_RANKS", budget)
+    batches = spy_batches(monkeypatch)
+    records = run_hitting_time(ExperimentConfig(params=params, trials=40, base_seed=base_seed))
+    assert records == [dataclasses.replace(rec, trial=t) for t, rec in enumerate(single)]
+    assert len(batches) >= 2 and max(trials for trials, _, _ in batches) > 1
+    assert all(type(v) is int for rec in records for v in (rec.t_c, rec.t_i))
+    assert all(type(rec.equal) is bool for rec in records)
 
 
 def test_degree_experiment_shape_and_conservation():

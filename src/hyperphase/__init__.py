@@ -25,7 +25,6 @@ from .combinatorics import (
     DEFAULT_MAX_JSETS,
     MAX_JSETS_ENV,
     binomial,
-    canonical_rows,
     colex_rank,
     colex_unrank,
     colex_unrank_array,

@@ -176,24 +176,20 @@ def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
     return out.T
 
 
-def canonical_rows(edges: np.ndarray, size: int, n: int) -> bool:
-    """Whether `edges` is an integer (m, size) array of canonical subsets of
-    [n]: every row strictly increasing, vertices in [1, n]."""
-    if edges.ndim != 2 or edges.shape[1] != size or edges.dtype.kind not in "iu":
-        return False
-    return not edges.size or bool(
-        edges[:, 0].min() >= 1 and edges[:, -1].max() <= n and (np.diff(edges, axis=1) > 0).all()
-    )
-
-
 def canonical_array(rows, size: int, n: int) -> np.ndarray | None:
     """`rows` as an (m, size) int64 array if it is a non-empty integer array
-    of canonical subsets of [n], else None."""
+    of canonical subsets of [n] (every row strictly increasing, vertices in
+    [1, n]), else None: `validate_subset`'s rule over a whole array."""
     try:
         arr = np.asarray(rows)
     except ValueError:  # ragged rows
         return None
-    return arr.astype(np.int64, copy=False) if arr.size and canonical_rows(arr, size, n) else None
+    if arr.ndim != 2 or arr.shape[1] != size or arr.dtype.kind not in "iu" or not arr.size:
+        return None
+    # compare neighbours, not np.diff, which wraps on unsigned rows
+    if arr[:, 0].min() >= 1 and arr[:, -1].max() <= n and (arr[:, 1:] > arr[:, :-1]).all():
+        return arr.astype(np.int64, copy=False)
+    return None
 
 
 def validate_subset(s: Iterable[int], size: int, n: int, what: str = "subset") -> tuple[int, ...]:

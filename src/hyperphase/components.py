@@ -47,12 +47,12 @@ class JSetUnionFind:
         params.check_jsets()
         self.params = params
         self._labels = np.arange(params.num_jsets, dtype=np.int64)
-        self._num_sets = params.num_jsets
         self._edges_applied = 0
 
     @property
     def num_sets_remaining(self) -> int:
-        return self._num_sets
+        """The number of sets, counted as their roots: each root is its own label."""
+        return int(np.count_nonzero(self._labels == np.arange(len(self._labels))))
 
     @property
     def edges_applied(self) -> int:
@@ -60,7 +60,7 @@ class JSetUnionFind:
 
     @property
     def is_j_connected(self) -> bool:
-        return self._num_sets == 1
+        return not np.count_nonzero(self._labels)  # one set: every label is rank 0
 
     def find(self, rank: int) -> int:
         """The smallest rank in the component of `rank`."""
@@ -74,18 +74,18 @@ class JSetUnionFind:
         Idempotent: re-applying an edge returns 0.
         """
         edge = validate_subset(edge, self.params.k, self.params.n, "edge")
-        return self.apply_ranks(np.array([jset_ranks(edge, self.params.j)], dtype=np.int64))
+        ranks = jset_ranks(edge, self.params.j)
+        unions = len(set(self._labels[ranks].tolist())) - 1  # the edge joins the sets it meets
+        self.apply_ranks(np.array([ranks], dtype=np.int64))
+        return unions
 
-    def apply_ranks(self, ranks: np.ndarray) -> int:
+    def apply_ranks(self, ranks: np.ndarray) -> None:
         """Merge the j-sets of each row of an (m, C(k, j)) int64 rank array
-        with ``merge_ranks``; returns unions performed.  Each row must hold
-        one edge's C(k, j) distinct ranks, as ``jset_rank_array`` gives them
-        (unchecked), so that the singletons are exactly the isolated j-sets."""
-        labels = self._labels = merge_ranks(self._labels, ranks)
-        before = self._num_sets
-        self._num_sets = int(np.count_nonzero(labels == np.arange(len(labels))))
+        with ``merge_ranks``.  Each row must hold one edge's C(k, j) distinct
+        ranks, as ``jset_rank_array`` gives them (unchecked), so that the
+        singletons are exactly the isolated j-sets."""
+        self._labels = merge_ranks(self._labels, ranks)
         self._edges_applied += len(ranks)
-        return before - self._num_sets
 
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by
@@ -116,7 +116,7 @@ class JSetUnionFind:
             second=nontrivial[1] if len(nontrivial) > 1 else 0,
             num_nontrivial=len(nontrivial),
             isolated_count=int(np.count_nonzero(sizes == 1)),
-            is_j_connected=self.is_j_connected,
+            is_j_connected=len(sizes) == 1,  # every label is rank 0
         )
 
 

@@ -7,10 +7,11 @@ Edge-list format (UTF-8, LF):
     v1 v2 ... vk        (m lines, 1-based, strictly increasing)
 
 Config format: flat ``key=value`` lines, ``#`` comments allowed.  Known
-keys: k, j, n (required), trials (default 50), seed (default 1, >= 0:
-``random.Random`` seeds with |seed|, so -s would repeat s's draws), eps,
-gamma, omega, s, c, delta (default 0.25), eps_grid (comma-separated
-floats), ell_list (comma-separated ints), sample_cap (default 10^6).
+keys: k, j, n (required); eps, gamma, omega, s, c, delta (``RegimeParams``);
+trials, seed, eps_grid (comma-separated floats), ell_list (comma-separated
+ints), sample_cap (``ExperimentConfig``, where seed is ``base_seed``).  This
+module reads the syntax only: a key left out takes its dataclass default,
+and the dataclasses check the values.
 
 CSV cells: reals printed with 17 significant digits so they round-trip
 exactly; booleans as true/false; missing values empty.  JSON output
@@ -20,10 +21,11 @@ mirrors the CSV columns, one object per row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import RegimeParams
-from .errors import ConfigError, ParseError
+from .combinatorics import validate_subset
+from .errors import ConfigError, ParseError, ValidationError
 from .experiments import ExperimentConfig
 from .models import Hypergraph
 from .params import Params
@@ -52,15 +54,10 @@ def parse_hypergraph(text: str, j: int) -> Hypergraph:
         if len(tokens) != k:
             raise ParseError(f"line {lineno}: expected {k} vertices, got {len(tokens)}")
         vertices = tuple(_parse_int(tok, lineno) for tok in tokens)
-        prev = 0
-        for v in vertices:
-            if v <= prev:
-                raise ParseError(
-                    f"line {lineno}: vertices must be strictly increasing and >= 1"
-                )
-            prev = v
-        if vertices[-1] > n:
-            raise ParseError(f"line {lineno}: vertex {vertices[-1]} outside [1, {n}]")
+        try:
+            validate_subset(vertices, k, n, "edge")
+        except ValidationError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         if vertices in seen:
             raise ParseError(
                 f"line {lineno}: duplicate edge {vertices} (first seen on line {seen[vertices]})"
@@ -143,11 +140,16 @@ def write_json(table: ResultTable) -> str:
     return json.dumps(objs, indent=2) + "\n"
 
 
-_INT_KEYS = ("k", "j", "n", "trials", "seed", "s", "sample_cap")
-_FLOAT_KEYS = ("eps", "gamma", "omega", "c", "delta")
-_LIST_FLOAT_KEYS = ("eps_grid",)
-_LIST_INT_KEYS = ("ell_list",)
-_ALL_KEYS = frozenset(_INT_KEYS + _FLOAT_KEYS + _LIST_FLOAT_KEYS + _LIST_INT_KEYS)
+def _comma_list(item):
+    return lambda value: tuple(item(tok) for tok in value.split(",") if tok.strip())
+
+
+_CONVERT = {
+    **dict.fromkeys(("k", "j", "n", "trials", "seed", "s", "sample_cap"), int),
+    **dict.fromkeys(("eps", "gamma", "omega", "c", "delta"), float),
+    "eps_grid": _comma_list(float),
+    "ell_list": _comma_list(int),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -162,43 +164,20 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CONVERT:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _convert(key, value, lineno)
+        try:
+            values[key] = _CONVERT[key](value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value for key {key!r}: {value!r}") from None
 
     for required in ("k", "j", "n"):
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
-    params = Params(values["k"], values["j"], values["n"])
-    regime = RegimeParams(
-        eps=values.get("eps"),
-        gamma=values.get("gamma"),
-        omega=values.get("omega"),
-        s=values.get("s"),
-        c=values.get("c"),
-        delta=values.get("delta", 0.25),
-    )
-    return ExperimentConfig(
-        params=params,
-        regime=regime,
-        trials=values.get("trials", 50),
-        base_seed=values.get("seed", 1),
-        eps_grid=tuple(values.get("eps_grid", ())),
-        ell_list=tuple(values.get("ell_list", ())),
-        sample_cap=values.get("sample_cap", 10**6),
-    )
-
-
-def _convert(key: str, value: str, lineno: int) -> object:
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_FLOAT_KEYS:
-            return [float(tok) for tok in value.split(",") if tok.strip()]
-        return [int(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"line {lineno}: bad value for key {key!r}: {value!r}") from None
+    params = Params(values.pop("k"), values.pop("j"), values.pop("n"))
+    regime = RegimeParams(**{f.name: values.pop(f.name) for f in fields(RegimeParams) if f.name in values})
+    if "seed" in values:
+        values["base_seed"] = values.pop("seed")
+    return ExperimentConfig(params, regime, **values)

@@ -269,17 +269,18 @@ def apply_in_mode(uf, h, mode):
     """Apply h's edges one at a time, as one ranked batch, or half each way."""
     half = h.m // 2
 
-    def batch(rows):
-        return uf.apply_ranks(jset_rank_array(rows, h.params.j, h.params.n))
+    def batch(rows, layout=np.asarray):  # unions from the set counts: apply_ranks returns none
+        before = uf.num_sets_remaining
+        uf.apply_ranks(layout(jset_rank_array(rows, h.params.j, h.params.n)))
+        return before - uf.num_sets_remaining
 
     if mode == "apply_edge":
         return sum(uf.apply_edge(e) for e in h.edges)
     if mode == "apply_ranks":
         return batch(h.array)
     if mode == "apply_ranks-row-major":
-        ranks = jset_rank_array(h.array, h.params.j, h.params.n)
-        assert ranks.flags.f_contiguous  # the kernel's own layout, copied row-major here
-        return uf.apply_ranks(np.ascontiguousarray(ranks))
+        assert jset_rank_array(h.array, h.params.j, h.params.n).flags.f_contiguous
+        return batch(h.array, np.ascontiguousarray)  # the kernel's own layout, copied row-major
     if mode == "batch-then-edges":
         return batch(h.array[:half]) + sum(uf.apply_edge(e) for e in h.edges[half:])
     return sum(uf.apply_edge(e) for e in h.edges[:half]) + batch(h.array[half:])

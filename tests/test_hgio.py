@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase.combinatorics import binomial, colex_unrank
 from hyperphase.errors import ConfigError, ParseError, ValidationError
+from hyperphase.experiments import ExperimentConfig
 from hyperphase.hgio import (
     ResultTable,
     parse_config,
@@ -53,6 +56,19 @@ def test_parse_bad_tokens():
         parse_hypergraph("3 4 1\n1 x 3\n", j=2)
     with pytest.raises(ParseError, match="line 1"):
         parse_hypergraph("3 4\n", j=2)
+
+
+def test_parse_body_faults_name_the_line_and_the_edge():
+    for body, fault in (
+        ("1 2 3\n0 2 3", r"edge \(0, 2, 3\) must be strictly increasing with vertices >= 1"),
+        ("1 2 3\n1 3 2", r"edge \(1, 3, 2\) must be strictly increasing"),
+        ("1 2 3\n2 3 5", r"edge \(2, 3, 5\) has vertices outside \[1, 4\]"),
+    ):
+        with pytest.raises(ParseError, match=r"^line 3: " + fault):
+            parse_hypergraph("3 4 2\n" + body + "\n", j=2)
+    with pytest.raises(ParseError) as info:
+        parse_hypergraph("3 4 1\n1 x 3\n", j=2)
+    assert str(info.value) == "line 2: expected an integer, got 'x'"
 
 
 def test_parse_skips_comments_and_blanks():
@@ -135,6 +151,13 @@ def test_parse_config_sweep_with_defaults():
     assert cfg.base_seed == 1
     assert cfg.regime.delta == 0.25
     assert cfg.sample_cap == 10**6
+
+
+def test_parse_config_defaults_are_the_dataclasses():
+    cfg = parse_config("k=3\nj=2\nn=10\n")
+    expected = ExperimentConfig(Params(3, 2, 10))
+    for f in fields(ExperimentConfig):
+        assert getattr(cfg, f.name) == getattr(expected, f.name), f.name  # regime included
 
 
 def test_parse_config_invalid_j():

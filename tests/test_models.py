@@ -66,6 +66,14 @@ def test_hypergraph_rejects_bad_edges():
             Hypergraph(params, form(((1.2, 1.5, 3),)))
 
 
+def test_hypergraph_rejects_descending_unsigned_rows():
+    params = Params(3, 2, 5)  # np.diff of a descending uint row wraps to a large positive step
+    for dtype in (np.uint8, np.uint64):
+        with pytest.raises(ValidationError, match=r"edge \(3, 2, 1\) must be strictly increasing"):
+            Hypergraph(params, np.array([[1, 2, 3], [3, 2, 1]], dtype=dtype))
+        assert Hypergraph(params, np.array([[2, 3, 5]], dtype=dtype)).edges == ((2, 3, 5),)
+
+
 def test_hypergraph_from_ranks_rejects_bad_ranks(monkeypatch):
     params = Params(3, 2, 6)  # C(6, 3) = 20 edges
     for bad, match in (

@@ -3,8 +3,9 @@
 Every runner is a pure function of its ExperimentConfig: trial t uses the
 generator seeded with ``trial_seed(base_seed, t)``, the seed is recorded in
 the trial's row, and a re-run reproduces every record bit for bit.  Trials
-are independent; ``hitting`` reduces batches of them over shared arrays,
-each trial's j-sets offset apart, and its records equal one-trial runs.
+are independent; ``hitting`` and ``degrees`` reduce batches of them over
+shared arrays (``_batch_jset_ranks``: one unrank and one j-rank pass, trial
+b's j-sets offset by b * C(n, j)), and their records equal one-trial runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .analysis import (
     RegimeParams,
     SmoothnessReport,
-    degree_profile,
+    degree_profile,  # unused: bench/tracing.py binds it until ROADMAP item 1 retargets the tracer
     degree_regime_p,
     poisson_limit_rate,
     poisson_pmf,
@@ -28,13 +29,14 @@ from .analysis import (
     smoothness_score,
     thresholds,
 )
-from .combinatorics import binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
+from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
 from .components import component_summary, largest_component_jsets, merge_ranks
 from .errors import ValidationError
-from .models import first_distinct_ranks, sample_binomial, trial_seed
+from .models import _binomial_ranks, first_distinct_ranks, trial_seed
+from .models import sample_binomial  # degrees no longer calls it; bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
-_BATCH_RANKS = 2**13  # int64 ranks in one batch of hitting prefixes: 64 KiB, under glibc's 128 KiB mmap threshold
+_BATCH_RANKS = 2**13  # int64 j-set ranks in one batch of trials: 64 KiB, under glibc's 128 KiB mmap threshold
 
 
 @dataclass(frozen=True)
@@ -242,21 +244,19 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
 def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[int, int] | None]:
     """(T_c, T_i) from the first `count` edges of the process on each seed,
     or None where they are not j-connected.  The prefixes are unranked and
-    j-ranked in one pass, trial b's j-sets shifted to b * C(n, j) + rank, so
-    one first touch and one label array serve the batch.  T_i is one past a
-    trial's last first touch of a j-set; an isolated j-set keeps the first
-    T_i - 1 edges split, so one ``merge_ranks`` call takes each trial's
-    first T_i rows (j-connected there w.h.p., by the hitting-time theorem),
-    and each later call one more row of every trial still split.  The labels
+    j-ranked in one pass (``_batch_jset_ranks``), so one first touch and one
+    label array serve the batch.  T_i is one past a trial's last first touch
+    of a j-set; an isolated j-set keeps the first T_i - 1 edges split, so
+    one ``merge_ranks`` call takes each trial's first T_i rows (j-connected
+    there w.h.p., by the hitting-time theorem), and each later call one
+    more row of every trial still split.  The labels
     (B * C(n, j)) and ranks (B * count * C(k, j)) never pass the larger of
     one trial's arrays and ``_BATCH_RANKS``."""
     check_cap("edge count m", count)
     batch, size = len(seeds), params.num_jsets
     base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
-    prefix = np.concatenate([first_distinct_ranks(random.Random(s), params.num_ksets, count) for s in seeds])
-    ranks = jset_rank_array(colex_unrank_array(prefix, params.k, params.n), params.j, params.n).T
-    shifted = ranks.reshape(-1, batch, count)  # a view of the C-contiguous (C(k, j), B * count) buffer
-    shifted += base[:, None]
+    prefixes = [first_distinct_ranks(random.Random(s), params.num_ksets, count) for s in seeds]
+    ranks = _batch_jset_ranks(params, prefixes)
     first = np.full(batch * size, count)
     np.minimum.at(first, ranks.ravel(), np.tile(np.arange(count), ranks.size // count))
     t_i = first.reshape(batch, size).max(axis=1) + 1
@@ -275,32 +275,55 @@ def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[i
     return [(int(c), int(i)) if ok else None for c, i, ok in zip(t_c, t_i, connected)]
 
 
+def _batch_jset_ranks(params: Params, trials: list[np.ndarray]) -> np.ndarray:
+    """The j-set ranks of a batch of trials' edges, given as colex rank
+    arrays: one unrank and one j-rank pass over their concatenation, trial
+    b's j-set r shifted to b * C(n, j) + r.  Row i of the C-contiguous
+    (C(k, j), total edges) result holds every edge's i-th j-subset."""
+    edges = colex_unrank_array(np.concatenate(trials), params.k, params.n)
+    ranks = jset_rank_array(edges, params.j, params.n).T
+    ranks += np.repeat(np.arange(len(trials)) * params.num_jsets, [len(r) for r in trials])
+    return ranks
+
+
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     """Sample the binomial model in the degree-s regime and compare the
-    empirical law of the degree-s count with its Poisson target."""
-    params = cfg.params
-    s = cfg.require("s")
-    c = cfg.require("c")
+    empirical law of the degree-s count with its Poisson target.  Each
+    trial draws ``sample_binomial``'s ranks; consecutive trials are counted
+    together, from their touched j-sets only (``_degree_counts``), in
+    batches whose j-set ranks fit ``_BATCH_RANKS`` and the guardrail cap and
+    whose B * C(n, j) fits int64 (one trial at least), so a run holds one
+    batch's arrays and one count per trial."""
+    params, s, c = cfg.params, cfg.require("s"), cfg.require("c")
     p = degree_regime_p(params, s, c)
-    rows: list[DegreeTrial] = []
+    size, per_edge = params.num_jsets, math.comb(params.k, params.j)
+    budget = min(_BATCH_RANKS, max_jsets_cap())
+    values: list[int] = []
+    batch: list[np.ndarray] = []
+    held = 0  # edges in the batch
     for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        profile = degree_profile(sample_binomial(params, p, seed))
-        rows.append(DegreeTrial(t, seed, profile.count(s)))
-    values = [row.count for row in rows]
-    rate = poisson_limit_rate(params, s, c)
-    counts = Counter(values)
+        ranks = _binomial_ranks(params, p, trial_seed(cfg.base_seed, t))
+        if batch and ((held + len(ranks)) * per_edge > budget or (len(batch) + 1) * size > INT64_MAX):
+            values += _degree_counts(params, batch, s)
+            batch, held = [], 0
+        batch.append(ranks)
+        held += len(ranks)
+    values += _degree_counts(params, batch, s)
+    rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
+    rate, counts = poisson_limit_rate(params, s, c), Counter(values)
     empirical = {v: counts[v] / len(values) for v in sorted(counts)}
-    return DegreeRunResult(
-        s=s,
-        c=c,
-        p=p,
-        poisson_rate=rate,
-        trials=tuple(rows),
-        empirical_pmf=empirical,
-        tv_distance=tv_to_poisson(values, rate),
-        mean_count=statistics.fmean(values),
-    )
+    return DegreeRunResult(s, c, p, rate, rows, empirical, tv_to_poisson(values, rate), statistics.fmean(values))
+
+
+def _degree_counts(params: Params, batch: list[np.ndarray], s: int) -> list[int]:
+    """D_s of each trial in a batch of edge-rank arrays, from the touched
+    j-sets only, as ``degree_profile`` counts: D_0 is C(n, j) less a trial's
+    touched count, and no array of C(n, j) entries is built."""
+    touched, degree = np.unique(_batch_jset_ranks(params, batch), return_counts=True)
+    trial = touched // params.num_jsets
+    if s == 0:
+        return (params.num_jsets - np.bincount(trial, minlength=len(batch))).tolist()
+    return np.bincount(trial[degree == s], minlength=len(batch)).tolist()
 
 
 def tv_to_poisson(values: list[int], rate: float) -> float:

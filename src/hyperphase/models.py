@@ -189,12 +189,17 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
 
 def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
     """Every k-set an edge independently with probability p."""
+    return Hypergraph.from_ranks(params, _binomial_ranks(params, p, seed))
+
+
+def _binomial_ranks(params: Params, p: float, seed: int) -> np.ndarray:
+    """``sample_binomial``'s draw: its edges' colex ranks, ascending."""
     _validate_probability(p, "p")
     total = params.num_ksets
     rng = random.Random(seed)
     m = _draw_binomial_count(rng, total, p)
     check_cap("edge count m", m)
-    return Hypergraph.from_ranks(params, np.sort(_draw_distinct_ranks(rng, total, m)))
+    return np.sort(_draw_distinct_ranks(rng, total, m))
 
 
 def second_round_probability(p: float, p0: float) -> float:

@@ -11,8 +11,13 @@ import pytest
 
 import hyperphase.analysis
 import hyperphase.experiments
+from hyperphase.analysis import RegimeParams, degree_profile
 from hyperphase.cli import _HANDLERS, cli_dispatch
+from hyperphase.errors import ResourceLimitError
+from hyperphase.experiments import ExperimentConfig, run_degree_experiment
 from hyperphase.hgio import parse_config
+from hyperphase.models import sample_binomial
+from hyperphase.params import Params
 
 TWO_EDGE_FILE = "3 4 2\n1 2 3\n2 3 4\n"
 
@@ -299,6 +304,43 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     assert code == 2 and "edge count m = 65 exceeds the guardrail cap 50" in err and out == ""
 
 
+def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
+    # degrees batches its trials under min(_BATCH_RANKS, cap) j-set ranks, one
+    # trial at least: a cap that fits every trial but not a full batch gives
+    # smaller batches and the same records, and one a trial does not fit
+    # raises the per-sample error a one-trial run raises
+    params, regime = Params(3, 1, 100), RegimeParams(s=0, c=0.0)
+    cfg = ExperimentConfig(params=params, regime=regime, trials=20, base_seed=1)
+    path = tmp_path / "c.txt"
+    path.write_text("k=3\nj=1\nn=100\ntrials=20\ns=0\nc=0\n", encoding="utf-8")
+    batches = []
+    degree_counts = hyperphase.experiments._degree_counts
+    monkeypatch.setattr(
+        hyperphase.experiments, "_degree_counts", lambda p, b, s: batches.append(len(b)) or degree_counts(p, b, s)
+    )
+    uncapped = run_degree_experiment(cfg)
+    code, out, _ = run(capsys, ["degrees", "--config", str(path)])
+    ms = [sample_binomial(params, uncapped.p, row.seed).m for row in uncapped.trials]
+    cap = 3 * max(ms)  # C(3, 1) = 3 j-set ranks per edge
+    assert code == 0 and cap < hyperphase.experiments._BATCH_RANKS < 3 * sum(ms)
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", str(cap))
+    del batches[:]
+    assert run_degree_experiment(cfg) == uncapped
+    assert len(batches) > 2 and sum(batches) == 20 and max(batches) < 20
+    assert run(capsys, ["degrees", "--config", str(path)])[:2] == (0, out)
+    # below trial 0's edge count, then between its edge count and its j-set rank count
+    for cap, what in ((ms[0] - 1, "edge count m"), (max(ms[:2]), "j-set rank count")):
+        assert cap < 3 * ms[0]
+        monkeypatch.setenv("HYPERPHASE_MAX_JSETS", str(cap))
+        with pytest.raises(ResourceLimitError, match=what) as batched:
+            run_degree_experiment(cfg)
+        with pytest.raises(ResourceLimitError) as one_trial:
+            degree_profile(sample_binomial(params, uncapped.p, 1))
+        assert str(batched.value) == str(one_trial.value)
+        code, out, err = run(capsys, ["degrees", "--config", str(path)])
+        assert code == 2 and what in err and out == ""
+
+
 def test_exit_code_non_convergence(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hyperphase.analysis, "GW_MAX_ITERATIONS", 3)
     cfg = tmp_path / "c.txt"
@@ -404,6 +446,11 @@ GOLDEN_STDOUT = {
         "k=3\nj=1\nn=30\ntrials=5\ns=0\nc=0\n",
         ["degrees", "--config", "{cfg}"],
         "1da4a4492107838d237260094913a95a9bc2d3aec80113511e1954291d3a4d1c",
+    ),
+    "degrees-s1-j2": (
+        "k=3\nj=2\nn=20\ntrials=5\ns=1\nc=-2\n",
+        ["degrees", "--config", "{cfg}"],
+        "f99b5b60975b6c84030643261c09ce61c0d467a8ed031f86e985f11cf224f7aa",
     ),
     "connprobe": (
         "k=3\nj=2\nn=15\ntrials=3\nomega=2\n",

@@ -18,7 +18,8 @@ from hyperphase.components import (
 )
 from hyperphase import experiments
 from hyperphase.errors import ResourceLimitError, ValidationError
-from hyperphase.experiments import ExperimentConfig, run_hitting_time
+from hyperphase.analysis import RegimeParams
+from hyperphase.experiments import ExperimentConfig, run_degree_experiment, run_hitting_time
 from hyperphase.models import Hypergraph, process_stream, sample_binomial
 from hyperphase.params import Params
 
@@ -88,6 +89,28 @@ def test_hitting_footprint_is_one_batch():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (6 * experiments._BATCH_RANKS + 2 * params.num_jsets)
+
+
+def test_degree_footprint_is_one_batch():
+    # a batch holds its trials' edge ranks, their unranked edges and the j-set
+    # ranks (at most _BATCH_RANKS int64; C(k, j) >= k, so the edges are no
+    # larger), jset_rank_array's vertex copy and np.unique's sorted copy: five
+    # rank arrays' worth, whatever the trial count.  Past that the run keeps
+    # one count per trial until its rows are built: 16 bytes of slack each
+    # (an 8-byte list slot, and the batches filling the budget unevenly).
+    params = Params(3, 1, 100)  # ~150 edges and ~450 j-set ranks per trial, ~18 trials per batch
+    regime = RegimeParams(s=0, c=0.0)
+    run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1))  # tables cached
+    peaks = {}
+    for trials in (100, 800):
+        tracemalloc.start()
+        try:
+            run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=trials, base_seed=1))
+            _, peaks[trials] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[100] <= 8 * 5 * experiments._BATCH_RANKS
+    assert abs(peaks[800] - peaks[100]) <= 16 * (800 - 100)
 
 
 def test_apply_edge_merges_and_is_idempotent():

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import statistics
+from itertools import accumulate
 
 import pytest
 
-from hyperphase import components, experiments
+from hyperphase import analysis, components, experiments
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
 from hyperphase.combinatorics import jset_ranks
 from hyperphase.components import JSetUnionFind, component_summary
@@ -277,6 +278,67 @@ def test_degree_extreme_c_behaviour():
         ExperimentConfig(params=params, regime=RegimeParams(s=0, c=-4.0), trials=40, base_seed=2)
     )
     assert low.mean_count >= 10.0
+
+
+def spy_degree_batches(monkeypatch):
+    """Record the trial count of every batch ``run_degree_experiment``
+    counts, and the rows of every ``jset_rank_array`` call."""
+    batches, ranked = [], []
+    degree_counts, rank_array = experiments._degree_counts, experiments.jset_rank_array
+
+    def spy_counts(params, batch, s):
+        batches.append(len(batch))
+        return degree_counts(params, batch, s)
+
+    def spy_rank(*args):
+        ranked.append(args[0].shape[0])
+        return rank_array(*args)
+
+    monkeypatch.setattr(experiments, "_degree_counts", spy_counts)
+    monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
+    monkeypatch.setattr(analysis, "jset_rank_array", spy_rank)  # a per-trial degree_profile would rank here
+    return batches, ranked
+
+
+@pytest.mark.parametrize(
+    "params, s, c",
+    [(Params(3, 1, 40), 0, 0.0), (Params(3, 2, 20), 1, -2.0), (Params(4, 2, 16), 2, 0.0), (Params(2, 1, 30), 1, 0.0)],
+)
+def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
+    base, trials = 5, 40
+    regime = RegimeParams(s=s, c=c)
+    p = run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1)).p
+    samples = [sample_binomial(params, p, base + t) for t in range(trials)]
+    expected = [degree_profile(h).count(s) for h in samples]
+    single = [
+        run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1, base_seed=base + t)).trials[0]
+        for t in range(trials)
+    ]
+    assert [row.count for row in single] == expected
+    # one trial per batch, a few (1 to 18 here, by edge count), the whole run
+    # in one batch, and pairs when B * C(n, j) may not pass 3 * C(n, j) - 1
+    for budget, shape in ((1, "one"), (2500, "several"), (10**12, "whole"), (10**12, "pairs")):
+        monkeypatch.setattr(experiments, "_BATCH_RANKS", budget)
+        if shape == "pairs":  # stands in for int64, which no instance small enough to run here reaches
+            monkeypatch.setattr(experiments, "INT64_MAX", 3 * params.num_jsets - 1)
+        batches, ranked = spy_degree_batches(monkeypatch)
+        res = run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=trials, base_seed=base))
+        monkeypatch.undo()
+        assert [row.count for row in res.trials] == expected
+        assert list(res.trials) == [dataclasses.replace(row, trial=t) for t, row in enumerate(single)]
+        assert all(type(row.count) is int for row in res.trials)
+        assert sum(batches) == trials
+        if shape == "one":
+            assert batches == [1] * trials
+        elif shape == "several":
+            assert len(batches) >= 2 and max(batches) > 1
+        elif shape == "whole":
+            assert batches == [trials]
+        else:
+            assert batches == [2] * (trials // 2)
+        # one unrank and one j-rank pass per batch, over every edge of its trials
+        ends = accumulate(batches)
+        assert ranked == [sum(h.m for h in samples[end - size:end]) for end, size in zip(ends, batches)]
 
 
 def test_tv_to_poisson_degenerate():

@@ -6,6 +6,8 @@ the trial's row, and a re-run reproduces every record bit for bit.  Trials
 are independent; ``hitting`` and ``degrees`` reduce batches of them over
 shared arrays (``_batch_jset_ranks``: one unrank and one j-rank pass, trial
 b's j-sets offset by b * C(n, j)), and their records equal one-trial runs.
+``sweep``, ``connprobe`` and ``smooth`` read a trial's points, all on its
+seed, off one rank draw and growing union-find (``_static_union_finds``).
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ from .analysis import (
     thresholds,
 )
 from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
-from .components import component_summary, largest_component_jsets, merge_ranks
+from .components import JSetUnionFind, merge_ranks
+from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
+from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_ranks, first_distinct_ranks, trial_seed
-from .models import sample_binomial  # degrees no longer calls it; bench/tracing.py binds it (ROADMAP item 1)
+from .models import _binomial_ranks, _distinct_ranks, _draw_binomial_count, first_distinct_ranks, trial_seed
+from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
 _BATCH_RANKS = 2**13  # int64 j-set ranks in one batch of trials: 64 KiB, under glibc's 128 KiB mmap threshold
@@ -188,27 +192,65 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     params = cfg.params
     p_g = thresholds(params).p_g
     total = params.num_jsets
+    ps = [(1.0 + eps) * p_g for eps in cfg.eps_grid]
+    faults = [f"p = (1 + {eps}) * p_g = {p} outside [0, 1]" for eps, p in zip(cfg.eps_grid, ps)]
     points: list[SweepPoint] = []
-    for eps in cfg.eps_grid:
-        p = (1.0 + eps) * p_g
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"p = (1 + {eps}) * p_g = {p} outside [0, 1]")
-        rows: list[SweepTrial] = []
-        for t in range(cfg.trials):
-            seed = trial_seed(cfg.base_seed, t)
-            summary = component_summary(sample_binomial(params, p, seed))
-            rows.append(SweepTrial(t, seed, summary.largest, summary.second))
-        fractions = [row.largest / total for row in rows]
-        points.append(
-            SweepPoint(
-                eps=eps,
-                p=p,
-                trials=tuple(rows),
-                largest_fraction=aggregate(fractions),
-                predicted_fraction=predicted_giant_fraction(params, eps) if eps > 0 else None,
-            )
-        )
+    for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults)):
+        trials = tuple(SweepTrial(t, seed, c.largest, c.second) for t, seed, c in rows)
+        predicted = predicted_giant_fraction(params, eps) if eps > 0 else None
+        points.append(SweepPoint(eps, p, trials, aggregate([row.largest / total for row in trials]), predicted))
     return points
+
+
+def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str]) -> list[list[tuple]]:
+    """Each point's (trial, seed, census) rows.  Point by point, p (raising
+    its fault) and every trial's edge count are checked first, as one
+    sample per (point, trial) would; then ``_static_union_finds`` runs."""
+    for p, fault in zip(ps, faults):
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(fault)
+        for t in range(cfg.trials):
+            rng = random.Random(trial_seed(cfg.base_seed, t))
+            check_cap("edge count m", _draw_binomial_count(rng, cfg.params.num_ksets, p))
+    rows: list[list[tuple]] = [[] for _ in ps]
+    for t in range(cfg.trials):
+        seed = trial_seed(cfg.base_seed, t)
+        for i, uf in _static_union_finds(cfg.params, ps, seed):
+            rows[i].append((t, seed, uf.summary()))
+    return rows
+
+
+def _static_union_finds(params: Params, ps: list[float], seed: int):
+    """(i, a union-find holding exactly ``sample_binomial(params, ps[i],
+    seed)``'s edges) for every point in count order, grown for the next.
+    Each count is drawn on a fresh generator; every p in (0, 1) reads the
+    same two words, so the samples are what ``_distinct_ranks`` reads off
+    one ``first_distinct_ranks`` draw continued from there (Newman & Ziff
+    2001, made exact).  Counts up to C(n, k) // 2 take prefixes, the rest
+    complements of prefixes; each chain grows one union-find by its new
+    ranks only, sorted (they unrank faster) in blocks whose j-set ranks fit
+    ``_BATCH_RANKS`` and the guardrail cap (one row at least)."""
+    total, half = params.num_ksets, params.num_ksets // 2
+    counts, rng = [], None
+    for p in ps:
+        gen = random.Random(seed)
+        counts.append(_draw_binomial_count(gen, total, p))
+        check_cap("edge count m", counts[-1])
+        if rng is None or 0.0 < p < 1.0:
+            rng = gen  # every p in (0, 1) leaves its generator in the same state
+    draw = first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
+    rows = max(1, min(_BATCH_RANKS, max_jsets_cap()) // math.comb(params.k, params.j))
+    uf, done = None, 0
+    for i in sorted(range(len(ps)), key=counts.__getitem__):
+        m = counts[i]
+        if uf is None or done <= half < m:  # a chain starts
+            uf, new = JSetUnionFind(params), _distinct_ranks(draw, total, m)
+        else:
+            new = draw[done:m] if m <= half else draw[total - m:total - done]
+        for b in range(0, len(new), rows):
+            uf.apply_ranks(_batch_jset_ranks(params, [np.sort(new[b:b + rows])]).T)
+        done = m
+        yield i, uf
 
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
@@ -308,7 +350,9 @@ def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
             batch, held = [], 0
         batch.append(ranks)
         held += len(ranks)
-    values += _degree_counts(params, batch, s)
+        if held * per_edge > budget or t == cfg.trials - 1:  # a lone trial past the budget is counted (and refused) now
+            values += _degree_counts(params, batch, s)
+            batch, held = [], 0
     rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
     rate, counts = poisson_limit_rate(params, s, c), Counter(values)
     empirical = {v: counts[v] / len(values) for v in sorted(counts)}
@@ -358,31 +402,20 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
     j, n = params.j, params.n
     base = j * math.log(n)
     scale = binomial(n, params.k - j)
+    labels, ps = ("below", "above"), [(base - omega) / scale, (base + omega) / scale]
+    faults = [f"probe probability {p} (side {label}) outside [0, 1]" for label, p in zip(labels, ps)]
     sides = []
-    for label, shift in (("below", -omega), ("above", omega)):
-        p = (base + shift) / scale
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"probe probability {p} (side {label}) outside [0, 1]")
-        rows: list[ProbeTrial] = []
-        for t in range(cfg.trials):
-            seed = trial_seed(cfg.base_seed, t)
-            summary = component_summary(sample_binomial(params, p, seed))
-            rows.append(ProbeTrial(t, seed, summary.is_j_connected, summary.isolated_count > 0))
-        sides.append(
-            ProbeSide(
-                label=label,
-                p=p,
-                trials=tuple(rows),
-                fraction_connected=sum(r.connected for r in rows) / len(rows),
-                fraction_isolated=sum(r.has_isolated for r in rows) / len(rows),
-            )
-        )
-    return ConnectivityProbeResult(below=sides[0], above=sides[1])
+    for label, p, rows in zip(labels, ps, _static_censuses(cfg, ps, faults)):
+        trials = tuple(ProbeTrial(t, seed, c.is_j_connected, c.isolated_count > 0) for t, seed, c in rows)
+        connected, isolated = sum(r.connected for r in trials), sum(r.has_isolated for r in trials)
+        sides.append(ProbeSide(label, p, trials, connected / len(trials), isolated / len(trials)))
+    return ConnectivityProbeResult(*sides)
 
 
 def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     """Score how evenly the largest component covers ell-sets, at
-    p = (1 + gamma) * p_g, for every ell in the config's ell_list."""
+    p = (1 + gamma) * p_g, for every ell in the config's ell_list.  Each
+    trial's edge count is checked at its draw, between the scorer's checks."""
     cfg.params.check_jsets()
     params = cfg.params
     gamma = cfg.require("gamma")
@@ -396,7 +429,8 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     out: list[SmoothnessTrial] = []
     for t in range(cfg.trials):
         seed = trial_seed(cfg.base_seed, t)
-        members = largest_component_jsets(sample_binomial(params, p, seed))
+        ((_, uf),) = _static_union_finds(params, [p], seed)
+        members = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
         if not len(members):
             out.append(SmoothnessTrial(t, seed, True, 0, {}))
             continue

@@ -220,16 +220,19 @@ def _validate_probability(p: float, name: str) -> None:
 
 
 def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarray:
-    """`count` distinct uniform ranks in [0, total) as int64, in draw order.
+    """`count` distinct uniform ranks in [0, total) as int64 (``_distinct_ranks``)."""
+    return _distinct_ranks(first_distinct_ranks(rng, total, min(count, total - count)), total, count)
 
-    For count > total/2 the complement is drawn and inverted (the
-    complement of a uniform subset is uniform), returned ascending.
-    """
+
+def _distinct_ranks(draw: np.ndarray, total: int, count: int) -> np.ndarray:
+    """The `count` ranks a ``first_distinct_ranks`` draw of min(count, total
+    - count) or more defines: its first `count`, in draw order, or for count
+    > total // 2 the complement (uniform too) of its first total - count."""
     if count > total // 2:
         keep = np.ones(total, dtype=bool)
-        keep[first_distinct_ranks(rng, total, total - count)] = False
+        keep[draw[:total - count]] = False
         return np.flatnonzero(keep)
-    return first_distinct_ranks(rng, total, count)
+    return draw[:count]
 
 
 def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarray:
@@ -264,7 +267,7 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
         # draw, times total * ln(free / (free - need)) in-range draws
         expected = (1 << bits) * -math.log1p(-need / free) if need < free else math.inf
         cand = _rank_candidates(rng, bits, int(min(1.05 * expected + 32, 2 * count + 64)))
-        pool = np.concatenate((values, cand[cand < total]))  # kept values, then this batch's
+        pool = np.concatenate((values, cand.compress(cand < total)))  # kept values, then this batch's (branch-free)
         values = pool[_first_occurrences(pool, bits)[:count]]
     return values
 

@@ -273,7 +273,9 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     assert run(capsys, ["thresholds", "--config", str(cfg)])[0] == 0
     assert run(capsys, ["gw", "--config", str(cfg), "--p", "0.5"])[0] == 0
 
-    # rank arrays: 435 j-sets fit the cap, ~290 edges' 3 ranks each do not
+    # rank arrays: 435 j-sets fit the cap, and the census merges the sample's
+    # 253 edges in blocks of 145 (3 j-set ranks each), but the scorer's rank
+    # array over L1's 356 j-sets, 2 ell-subsets each (712 ranks), does not
     smooth = tmp_path / "s.txt"
     smooth.write_text("k=3\nj=2\nn=30\ntrials=1\ngamma=3\nell_list=1\n", encoding="utf-8")
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "435")
@@ -341,6 +343,35 @@ def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
         assert code == 2 and what in err and out == ""
 
 
+def test_degree_guardrail_refuses_a_trial_before_drawing_the_next(tmp_path, capsys, monkeypatch):
+    # trial 0 has 137 edges, 411 j-set ranks; trial 1 has 172 edges: the run
+    # must fail on trial 0's rank count, not on trial 1's edge count
+    path = tmp_path / "c.txt"
+    path.write_text("k=3\nj=1\nn=100\ntrials=5\ns=0\nc=0\n", encoding="utf-8")
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "137")
+    code, out, err = run(capsys, ["degrees", "--config", str(path), "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "j-set rank count m * C(k=3, j=1) = 411 exceeds the guardrail cap 137" in err
+
+
+def test_sweep_guardrail_checks_points_before_trials(tmp_path, capsys, monkeypatch):
+    # at cap 6 the first point's trial 3 (m = 7) and the second point's
+    # trial 0 (m = 10) both pass the cap; one sample per (point, trial) in
+    # point-major order meets the first of them first, and so must the run
+    params = Params(2, 1, 6)
+    cfg = ExperimentConfig(params, trials=4, base_seed=432, eps_grid=(0.2, 3.0))
+    p_g = hyperphase.analysis.thresholds(params).p_g
+    first = [sample_binomial(params, (1 + 0.2) * p_g, 432 + t).m for t in range(4)]
+    assert first == [3, 2, 2, 7] and sample_binomial(params, (1 + 3.0) * p_g, 432).m == 10
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "6")
+    with pytest.raises(ResourceLimitError, match=r"^edge count m = 7 exceeds the guardrail cap 6 "):
+        hyperphase.experiments.run_phase_sweep(cfg)
+    path = tmp_path / "c.txt"
+    path.write_text("k=2\nj=1\nn=6\ntrials=4\neps_grid=0.2,3\n", encoding="utf-8")
+    code, out, err = run(capsys, ["sweep", "--config", str(path), "--seed", "432"])
+    assert code == 2 and out == "" and "edge count m = 7 exceeds the guardrail cap 6" in err
+
+
 def test_exit_code_non_convergence(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hyperphase.analysis, "GW_MAX_ITERATIONS", 3)
     cfg = tmp_path / "c.txt"
@@ -406,6 +437,9 @@ def test_regime_advisories_become_notes(command, tmp_path):
 # row, rank or float digit fails here.  "sample-m" asks for more than half
 # of the C(12, 3) = 220 edges, so it takes the complement draw;
 # "smooth-sampled" has sample_cap < C(30, 1), so it scores a sample.
+# "sweep-dense" runs p from 0 to 0.817 of C(6, 2) = 15 k-sets over an
+# unsorted grid with a repeat, so its trials grow both a prefix and a
+# complement chain (see experiments._static_union_finds).
 GOLDEN_STDOUT = {
     "sample-p": (
         "k=3\nj=2\nn=12\nseed=7\n",
@@ -431,6 +465,11 @@ GOLDEN_STDOUT = {
         "k=3\nj=2\nn=20\ntrials=3\neps_grid=-0.3,0.5\n",
         ["sweep", "--config", "{cfg}"],
         "d3e76aaffdb9507553c02499d2d1cbdb9602a8ea678e86e1346fb80c18beb32d",
+    ),
+    "sweep-dense": (
+        "k=2\nj=1\nn=6\ntrials=10\neps_grid=3.9,-1,-0.5,1.5,0.5,2.5,1.5\n",
+        ["sweep", "--config", "{cfg}"],
+        "014a5138d582648fd5471d65d524376d07cf8f1d957716043351f283a22d8b51",
     ),
     "hitting-32": (
         "k=3\nj=2\nn=10\ntrials=3\n",
@@ -476,8 +515,9 @@ def test_golden_stdout_bytes(case, tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     hg = tmp_path / "h.hg"
     cfg.write_text(config, encoding="utf-8")
-    assert cli_dispatch(["sample", "--config", str(cfg), "--m", "40", "--out", str(hg)]) == 0
-    capsys.readouterr()
+    if "{hg}" in argv:  # "sweep-dense" has only 15 k-sets
+        assert cli_dispatch(["sample", "--config", str(cfg), "--m", "40", "--out", str(hg)]) == 0
+        capsys.readouterr()
     code, out, _ = run(capsys, [arg.format(cfg=cfg, hg=hg) for arg in argv])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -19,7 +19,7 @@ from hyperphase.components import (
 from hyperphase import experiments
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.analysis import RegimeParams
-from hyperphase.experiments import ExperimentConfig, run_degree_experiment, run_hitting_time
+from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run_degree_experiment, run_hitting_time
 from hyperphase.models import Hypergraph, process_stream, sample_binomial
 from hyperphase.params import Params
 
@@ -111,6 +111,26 @@ def test_degree_footprint_is_one_batch():
             tracemalloc.stop()
     assert peaks[100] <= 8 * 5 * experiments._BATCH_RANKS
     assert abs(peaks[800] - peaks[100]) <= 16 * (800 - 100)
+
+
+def test_static_footprint_is_one_draw():
+    # one (3,2,100) connprobe trial at omega = 3: m is ~9.9k below p_c and
+    # ~19.6k above.  The trial holds one rank draw of the larger m, whose
+    # first_distinct_ranks peaks under 8 int64 per kept rank (candidates,
+    # their in-range copy, the pool and its packed keys), then at most two
+    # label arrays of C(n, j) and a block's arrays, a few _BATCH_RANKS each.
+    # A fresh sample per point also held its edges and its (m, 3) j-set ranks.
+    params, regime = Params(3, 2, 100), RegimeParams(omega=3.0)
+    cfg = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=1)
+    run_connectivity_probe(cfg)  # binomial tables cached
+    tracemalloc.start()
+    try:
+        res = run_connectivity_probe(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = sample_binomial(params, res.above.p, 1).m
+    assert peak <= 8 * (8 * m + 2 * params.num_jsets + 6 * experiments._BATCH_RANKS)
 
 
 def test_apply_edge_merges_and_is_idempotent():

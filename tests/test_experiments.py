@@ -3,12 +3,13 @@ import math
 import statistics
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from hyperphase import analysis, components, experiments
+from hyperphase import analysis, components, experiments, models
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
-from hyperphase.combinatorics import jset_ranks
-from hyperphase.components import JSetUnionFind, component_summary
+from hyperphase.combinatorics import colex_unrank_array, jset_ranks
+from hyperphase.components import JSetUnionFind, component_summary, largest_component_jsets
 from hyperphase.errors import ValidationError
 from hyperphase.experiments import (
     ExperimentConfig,
@@ -83,6 +84,76 @@ def test_sweep_supercritical_predicted_fraction():
     cfg = ExperimentConfig(params=Params(3, 2, 15), trials=2, eps_grid=(0.3,))
     (point,) = run_phase_sweep(cfg)
     assert point.predicted_fraction == pytest.approx(0.3)
+
+
+# (params, ps): unsorted and repeated p, p = 0, p = 1 and p > 1/2, with
+# counts on both sides of C(n, k) / 2 over the seeds
+STATIC_CASES = [
+    (Params(2, 1, 6), (0.8, 0.0, 0.3, 1.0, 0.55, 0.3, 0.9, 0.45)),
+    (Params(3, 2, 8), (0.6, 0.1, 0.5, 0.5, 0.97, 0.02)),
+    (Params(3, 1, 10), (0.05, 0.7, 0.3, 0.0)),
+    (Params(4, 2, 9), (0.52, 0.48, 1.0, 0.2)),
+    (Params(3, 2, 20), (0.004, 0.6, 0.02)),
+    (Params(2, 1, 30), (0.3, 0.05, 0.75)),
+]
+
+
+@pytest.mark.parametrize("params,ps", STATIC_CASES, ids=[f"{p.k}-{p.j}-{p.n}" for p, _ in STATIC_CASES])
+@pytest.mark.parametrize("block", [5, experiments._BATCH_RANKS])
+@pytest.mark.parametrize("inversion_mean", [8.0, models._MAX_INVERSION_MEAN])
+def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, block, inversion_mean):
+    # a mean past 8 takes the normal approximation, so a trial's counts mix
+    # both branches; a block of 5 j-set ranks merges one or two rows at a time
+    monkeypatch.setattr(models, "_MAX_INVERSION_MEAN", inversion_mean)
+    monkeypatch.setattr(experiments, "_BATCH_RANKS", block)
+    total, sides = params.num_ksets, set()
+    for seed in range(12):
+        samples = [sample_binomial(params, p, seed) for p in ps]
+        order = []
+        for i, uf in experiments._static_union_finds(params, list(ps), seed):
+            assert uf.summary() == component_summary(samples[i])
+            largest = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
+            assert np.array_equal(largest, largest_component_jsets(samples[i]))
+            order.append(i)
+        assert sorted(order) == list(range(len(ps)))
+        assert [samples[i].m for i in order] == sorted(h.m for h in samples)  # count order
+        sides.update(h.m > total // 2 for h in samples)
+    assert sides == {False, True}
+
+
+def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
+    # the golden "sweep-dense" run: C(6, 2) = 15 k-sets, p from 0 to 0.817
+    params, eps_grid = Params(2, 1, 6), (3.9, -1, -0.5, 1.5, 0.5, 2.5, 1.5)
+    cfg = ExperimentConfig(params=params, trials=10, base_seed=1, eps_grid=eps_grid)
+    expected = run_phase_sweep(cfg)
+    counts = [[sample_binomial(params, point.p, 1 + t).m for point in expected] for t in range(cfg.trials)]
+    draws, chains = [], []  # chains: [union-find, rows merged], in creation order
+    draw, init, apply_ranks = experiments.first_distinct_ranks, JSetUnionFind.__init__, JSetUnionFind.apply_ranks
+
+    def spy_draw(rng, total, count):
+        draws.append(count)
+        return draw(rng, total, count)
+
+    def spy_init(uf, p):
+        init(uf, p)
+        chains.append([uf, 0])
+
+    def spy_apply(uf, ranks):
+        next(chain for chain in chains if chain[0] is uf)[1] += len(ranks)
+        apply_ranks(uf, ranks)
+
+    monkeypatch.setattr(experiments, "first_distinct_ranks", spy_draw)
+    monkeypatch.setattr(JSetUnionFind, "__init__", spy_init)
+    monkeypatch.setattr(JSetUnionFind, "apply_ranks", spy_apply)
+    assert run_phase_sweep(cfg) == expected
+    # one draw per trial, as long as its longest prefix
+    assert draws == [max(min(m, 15 - m) for m in ms) for ms in counts]
+    # a prefix chain (m <= 7) and a complement chain (m > 7) per trial, each
+    # merging as many rows as its largest count
+    per_chain = []
+    for ms in counts:
+        per_chain += [max(side) for side in ([m for m in ms if m <= 7], [m for m in ms if m > 7]) if side]
+    assert [rows for _, rows in chains] == per_chain and len(per_chain) > cfg.trials
 
 
 def test_hitting_single_edge_case():

@@ -36,7 +36,8 @@ from .components import JSetUnionFind, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_ranks, _distinct_ranks, _draw_binomial_count, first_distinct_ranks, trial_seed
+from .models import _binomial_draws, _binomial_ranks, _distinct_ranks, _draw_binomial_count
+from .models import first_distinct_ranks, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
@@ -222,24 +223,15 @@ def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str]) 
 
 def _static_union_finds(params: Params, ps: list[float], seed: int):
     """(i, a union-find holding exactly ``sample_binomial(params, ps[i],
-    seed)``'s edges) for every point in count order, grown for the next.
-    Each count is drawn on a fresh generator; every p in (0, 1) reads the
-    same two words, so the samples are what ``_distinct_ranks`` reads off
-    one ``first_distinct_ranks`` draw continued from there (Newman & Ziff
-    2001, made exact).  Counts up to C(n, k) // 2 take prefixes, the rest
-    complements of prefixes; each chain grows one union-find by its new
+    seed)``'s edges) for every point in count order, grown for the next,
+    off the counts and the one draw of ``models._binomial_draws`` (Newman &
+    Ziff 2001, made exact).  Counts up to C(n, k) // 2 take prefixes, the
+    rest complements of prefixes; each chain grows one union-find by its new
     ranks only, sorted (they unrank faster) in blocks whose j-set ranks fit
     ``_BATCH_RANKS`` and the guardrail cap (one row at least)."""
     total, half = params.num_ksets, params.num_ksets // 2
-    counts, rng = [], None
-    for p in ps:
-        gen = random.Random(seed)
-        counts.append(_draw_binomial_count(gen, total, p))
-        check_cap("edge count m", counts[-1])
-        if rng is None or 0.0 < p < 1.0:
-            rng = gen  # every p in (0, 1) leaves its generator in the same state
-    draw = first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
-    rows = max(1, min(_BATCH_RANKS, max_jsets_cap()) // math.comb(params.k, params.j))
+    counts, draw = _binomial_draws(params, ps, seed)
+    rows = max(1, min(_BATCH_RANKS, max_jsets_cap()) // params.jsets_per_edge)
     uf, done = None, 0
     for i in sorted(range(len(ps)), key=counts.__getitem__):
         m = counts[i]
@@ -248,7 +240,8 @@ def _static_union_finds(params: Params, ps: list[float], seed: int):
         else:
             new = draw[done:m] if m <= half else draw[total - m:total - done]
         for b in range(0, len(new), rows):
-            uf.apply_ranks(_batch_jset_ranks(params, [np.sort(new[b:b + rows])]).T)
+            edges = colex_unrank_array(np.sort(new[b:b + rows]), params.k, params.n)
+            uf.apply_ranks(jset_rank_array(edges, params.j, params.n))
         done = m
         yield i, uf
 
@@ -272,7 +265,7 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     times: dict[int, tuple[int, int]] = {}
     pending = list(range(cfg.trials))
     while pending:
-        per_batch = max(1, min(_BATCH_RANKS, max_jsets_cap()) // (count * math.comb(params.k, params.j)))
+        per_batch = max(1, min(_BATCH_RANKS, max_jsets_cap()) // (count * params.jsets_per_edge))
         for b in range(0, len(pending), per_batch):
             batch = pending[b:b + per_batch]
             seeds = [trial_seed(cfg.base_seed, t) for t in batch]
@@ -338,7 +331,7 @@ def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     batch's arrays and one count per trial."""
     params, s, c = cfg.params, cfg.require("s"), cfg.require("c")
     p = degree_regime_p(params, s, c)
-    size, per_edge = params.num_jsets, math.comb(params.k, params.j)
+    size, per_edge = params.num_jsets, params.jsets_per_edge
     budget = min(_BATCH_RANKS, max_jsets_cap())
     values: list[int] = []
     batch: list[np.ndarray] = []

@@ -15,16 +15,18 @@ seed scrambling makes nearby integer seeds independent streams.
 
 Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
 repeated ``rng.randrange``, each kept unless already drawn, are sorted and
-unranked to k-sets, which come out in colex order (``Hypergraph.from_ranks``).
-When M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
+unranked to k-sets (``Hypergraph.from_ranks``).  When M > C(n, k)/2 the
+complement is drawn instead, so rejection stays cheap.
 ``first_distinct_ranks`` replays that loop's values on bulk ``getrandbits``
 draws and keeps each value's first draw with one sort of packed value/index
 keys.  It reads words past the last kept draw, so it is the generator's last
 use: every caller seeds a fresh one and drops it after.  The replay
 defines the process: ``EdgeStream`` yields its ranks in draw order, and the
-samplers and ``hitting`` read the same draws.  It is exact as long as
-``randrange`` keeps its word use (true of CPython 3.11, and pinned by the
-tests on the running interpreter against the loop itself).
+samplers and ``hitting`` read the same draws; a binomial sample is its count,
+then that draw on the same generator (``_binomial_draws``, for one or several
+p).  The replay is exact as long as ``randrange`` keeps its word use (true of
+CPython 3.11, and pinned by the tests on the running interpreter against the
+loop itself).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -45,7 +47,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,73 +68,46 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return base_seed + trial_index
 
 
-class _EdgeTuples:
-    """``Hypergraph.edges``: the constructor's argument is handed to
-    ``__post_init__``; a read returns the rows of ``array`` as a tuple of
-    edge tuples, built on first read and kept."""
-
-    def __get__(self, h, owner=None):
-        if h is None:
-            return ()  # the field's default
-        edges = h.__dict__.get("_edge_tuples")
-        if edges is None:
-            edges = h.__dict__["_edge_tuples"] = tuple(zip(*h.array.T.tolist()))
-        return edges
-
-    def __set__(self, h, edges) -> None:
-        h.__dict__["_edges_in"] = edges
-
-
-class _ColexRows(NamedTuple):  # from_ranks's validated rows, already in colex order
-    rows: np.ndarray
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, duplicate-free edges.
 
     Edges are stored sorted by colex rank, so equal hypergraphs compare
     equal regardless of construction order.  ``array`` holds them as a
-    read-only (m, k) int64 array; ``edges`` is the same rows as tuples,
-    built on first read.  Either form may be passed in, or the edges' colex
-    ranks to ``from_ranks``.
+    read-only (m, k) int64 array, ``edges`` as tuples; either form may be
+    passed in, or the edges' colex ranks to ``from_ranks``.
     """
 
     params: Params
-    edges: tuple[Edge, ...] = _EdgeTuples()
+    edges: tuple[Edge, ...] = ()
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k, n = self.params.k, self.params.n
-        edges = self.__dict__.pop("_edges_in")
-        if isinstance(edges, _ColexRows):  # validated and ordered by from_ranks
-            arr = edges.rows
-        else:
-            arr = canonical_array(edges, k, n)
-            if arr is None:  # per-edge checks name the fault
-                edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
-                rows = [validate_subset(e, k, n, "edge") for e in edges]
-                arr = np.array(rows, dtype=np.int64).reshape(-1, k)
-            # colex order compares vertices only, so it is exact for any k; the
-            # narrowest dtype holding [1, n] sorts fastest
-            arr = arr[np.lexsort(arr.T.astype(np.min_scalar_type(n)))]
-            dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
-            if len(dup):
-                raise ValidationError(f"duplicate edge {tuple(arr[dup[0]].tolist())}")
+        arr = canonical_array(self.edges, k, n)
+        if arr is None:  # per-edge checks name the fault
+            edges = self.edges.tolist() if isinstance(self.edges, np.ndarray) else self.edges
+            rows = [validate_subset(e, k, n, "edge") for e in edges]
+            arr = np.array(rows, dtype=np.int64).reshape(-1, k)
+        arr = arr[np.lexsort(arr.T)]  # colex order compares vertices only, so it is exact for any k
+        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+        if len(dup):
+            raise ValidationError(f"duplicate edge {tuple(arr[dup[0]].tolist())}")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "edges", tuple(zip(*arr.T.tolist())))
 
     @classmethod
     def from_ranks(cls, params: Params, ranks: np.ndarray) -> Hypergraph:
         """The hypergraph whose edges have these colex ranks, strictly
-        increasing in [0, C(n, k)); unranked, they are already in colex order."""
+        increasing in [0, C(n, k))."""
         r = np.asarray(ranks)
         if r.ndim != 1 or (r.size and r.dtype.kind != "i"):
             raise ValidationError(f"edge ranks must be 1-d signed integers, got {r.dtype}{r.shape}")
         check_cap("edge count m", len(r))
         if (len(r) and (r.min() < 0 or r.max() >= params.num_ksets)) or not (np.diff(r) > 0).all():
             raise ValidationError(f"edge ranks must be strictly increasing in [0, {params.num_ksets})")
-        return cls(params, _ColexRows(colex_unrank_array(r, params.k, params.n)))
+        return cls(params, colex_unrank_array(r, params.k, params.n))
 
     @property
     def m(self) -> int:
@@ -194,12 +168,26 @@ def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
 
 def _binomial_ranks(params: Params, p: float, seed: int) -> np.ndarray:
     """``sample_binomial``'s draw: its edges' colex ranks, ascending."""
-    _validate_probability(p, "p")
+    (m,), draw = _binomial_draws(params, [p], seed)
+    return np.sort(_distinct_ranks(draw, params.num_ksets, m))
+
+
+def _binomial_draws(params: Params, ps: list[float], seed: int) -> tuple[list[int], np.ndarray]:
+    """Each p's ``sample_binomial(params, p, seed)`` edge count, and one
+    ``first_distinct_ranks`` draw holding every such sample: sample i is
+    ``_distinct_ranks(draw, C(n, k), counts[i])``.  Each count is drawn on a
+    fresh generator and checked against the guardrail; every p in (0, 1)
+    reads the same two words, so the draw continues from any of them."""
     total = params.num_ksets
-    rng = random.Random(seed)
-    m = _draw_binomial_count(rng, total, p)
-    check_cap("edge count m", m)
-    return np.sort(_draw_distinct_ranks(rng, total, m))
+    counts, rng = [], None
+    for p in ps:
+        _validate_probability(p, "p")
+        gen = random.Random(seed)
+        counts.append(_draw_binomial_count(gen, total, p))
+        check_cap("edge count m", counts[-1])
+        if rng is None or 0.0 < p < 1.0:
+            rng = gen  # every p in (0, 1) leaves its generator in the same state
+    return counts, first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
 
 
 def second_round_probability(p: float, p0: float) -> float:

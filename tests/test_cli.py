@@ -11,6 +11,7 @@ import pytest
 
 import hyperphase.analysis
 import hyperphase.experiments
+import hyperphase.models
 from hyperphase.analysis import RegimeParams, degree_profile
 from hyperphase.cli import _HANDLERS, cli_dispatch
 from hyperphase.errors import ResourceLimitError
@@ -293,6 +294,7 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(hyperphase.experiments, "sample_binomial", no_draw)
     monkeypatch.setattr(hyperphase.experiments, "first_distinct_ranks", no_draw)
+    monkeypatch.setattr(hyperphase.models, "first_distinct_ranks", no_draw)
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
     code, out, err = run(capsys, ["hitting", "--config", str(cfg)])

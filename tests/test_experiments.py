@@ -128,7 +128,7 @@ def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
     expected = run_phase_sweep(cfg)
     counts = [[sample_binomial(params, point.p, 1 + t).m for point in expected] for t in range(cfg.trials)]
     draws, chains = [], []  # chains: [union-find, rows merged], in creation order
-    draw, init, apply_ranks = experiments.first_distinct_ranks, JSetUnionFind.__init__, JSetUnionFind.apply_ranks
+    draw, init, apply_ranks = models.first_distinct_ranks, JSetUnionFind.__init__, JSetUnionFind.apply_ranks
 
     def spy_draw(rng, total, count):
         draws.append(count)
@@ -142,7 +142,7 @@ def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
         next(chain for chain in chains if chain[0] is uf)[1] += len(ranks)
         apply_ranks(uf, ranks)
 
-    monkeypatch.setattr(experiments, "first_distinct_ranks", spy_draw)
+    monkeypatch.setattr(models, "first_distinct_ranks", spy_draw)
     monkeypatch.setattr(JSetUnionFind, "__init__", spy_init)
     monkeypatch.setattr(JSetUnionFind, "apply_ranks", spy_apply)
     assert run_phase_sweep(cfg) == expected

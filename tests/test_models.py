@@ -41,10 +41,10 @@ def test_hypergraph_canonicalizes_edge_order():
         c.array[0, 0] = 5
 
 
-def test_hypergraph_edge_tuples_are_built_on_first_read():
+def test_hypergraph_edge_tuples_are_the_array_rows():
     params = Params(3, 2, 5)
     h = Hypergraph(params, np.array([[2, 3, 4], [1, 2, 3]]))
-    assert h.m == 2 and "_edge_tuples" not in vars(h)
+    assert h.m == 2
     assert h.edges == ((1, 2, 3), (2, 3, 4)) and h.edges is h.edges
     assert h == Hypergraph(params, ((1, 2, 3), (2, 3, 4)))
     assert hash(h) == hash(Hypergraph(params, ((2, 3, 4), (1, 2, 3))))

@@ -3,9 +3,11 @@
 ``bench/tracing.py`` wraps these module bindings and methods with
 ``setattr``; if one disappears, every traced worker fails at install.
 This pins them in the package's own suite, so such a change fails here
-first.
+first.  Every other module-level import in the package must be read.
 """
 
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -46,6 +48,25 @@ REBOUND = [
 @pytest.mark.parametrize("owner,name", REBOUND, ids=[f"{o.__name__}.{n}" for o, n in REBOUND])
 def test_traced_rebinding_target_exists(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_every_module_import_is_read_or_rebound():
+    # an import that its module never reads is dead code, unless the tracer
+    # rebinds it (a module binding in REBOUND)
+    rebound = {(owner.__name__, name) for owner, name in REBOUND if inspect.ismodule(owner)}
+    unused = []
+    for path in sorted((ROOT / "src" / "hyperphase").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (f"hyperphase.{path.stem}", name) not in rebound:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_rebound_post_init_runs_on_every_sample(monkeypatch):

@@ -6,8 +6,8 @@ the trial's row, and a re-run reproduces every record bit for bit.  Trials
 are independent; ``hitting`` and ``degrees`` reduce batches of them over
 shared arrays (``_batch_jset_ranks``: one unrank and one j-rank pass, trial
 b's j-sets offset by b * C(n, j)), and their records equal one-trial runs.
-``sweep``, ``connprobe`` and ``smooth`` read a trial's points, all on its
-seed, off one rank draw and growing union-find (``_static_union_finds``).
+``sweep``, ``connprobe`` and ``smooth`` share one driver (``_static_censuses``):
+a trial's points, all on its seed, grow union-finds off one rank draw.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .components import JSetUnionFind, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_draws, _binomial_ranks, _distinct_ranks, _draw_binomial_count
+from .models import _binomial_count, _binomial_draw, _binomial_ranks, _distinct_ranks
 from .models import first_distinct_ranks, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
@@ -196,44 +196,44 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     ps = [(1.0 + eps) * p_g for eps in cfg.eps_grid]
     faults = [f"p = (1 + {eps}) * p_g = {p} outside [0, 1]" for eps, p in zip(cfg.eps_grid, ps)]
     points: list[SweepPoint] = []
-    for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults)):
+    for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
         trials = tuple(SweepTrial(t, seed, c.largest, c.second) for t, seed, c in rows)
         predicted = predicted_giant_fraction(params, eps) if eps > 0 else None
         points.append(SweepPoint(eps, p, trials, aggregate([row.largest / total for row in trials]), predicted))
     return points
 
 
-def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str]) -> list[list[tuple]]:
-    """Each point's (trial, seed, census) rows.  Point by point, p (raising
-    its fault) and every trial's edge count are checked first, as one
-    sample per (point, trial) would; then ``_static_union_finds`` runs."""
+def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], read) -> list[list[tuple]]:
+    """Each point's (trial, seed, read(union-find, seed)) rows, the union-find
+    holding ``sample_binomial(params, p, seed)``'s edges: the one static
+    driver, one trial at a time.  Point by point, p (raising its fault) and
+    each trial's edge count are drawn and checked first, as one sample per
+    (point, trial) would; then each trial draws its ranks once."""
+    counts = []
     for p, fault in zip(ps, faults):
         if not 0.0 <= p <= 1.0:
             raise ValidationError(fault)
-        for t in range(cfg.trials):
-            rng = random.Random(trial_seed(cfg.base_seed, t))
-            check_cap("edge count m", _draw_binomial_count(rng, cfg.params.num_ksets, p))
+        counts.append([_binomial_count(cfg.params, p, trial_seed(cfg.base_seed, t))[0] for t in range(cfg.trials)])
     rows: list[list[tuple]] = [[] for _ in ps]
-    for t in range(cfg.trials):
+    for t, trial in enumerate(zip(*counts)):
         seed = trial_seed(cfg.base_seed, t)
-        for i, uf in _static_union_finds(cfg.params, ps, seed):
-            rows[i].append((t, seed, uf.summary()))
+        for i, uf in _static_union_finds(cfg.params, trial, _binomial_draw(cfg.params, trial, seed)):
+            rows[i].append((t, seed, read(uf, seed)))
     return rows
 
 
-def _static_union_finds(params: Params, ps: list[float], seed: int):
-    """(i, a union-find holding exactly ``sample_binomial(params, ps[i],
-    seed)``'s edges) for every point in count order, grown for the next,
-    off the counts and the one draw of ``models._binomial_draws`` (Newman &
-    Ziff 2001, made exact).  Counts up to C(n, k) // 2 take prefixes, the
-    rest complements of prefixes; each chain grows one union-find by its new
-    ranks only, sorted (they unrank faster) in blocks whose j-set ranks fit
-    ``_BATCH_RANKS`` and the guardrail cap (one row at least)."""
+def _static_union_finds(params: Params, counts, draw: np.ndarray):
+    """(i, a union-find holding exactly ``_distinct_ranks(draw, C(n, k),
+    counts[i])``) for every count in increasing order, grown for the next
+    (Newman & Ziff 2001, made exact).  Counts up to C(n, k) // 2 take
+    prefixes, the rest complements of prefixes; each chain grows one
+    union-find by its new ranks only, sorted (they unrank faster) in blocks
+    whose j-set ranks fit ``_BATCH_RANKS`` and the guardrail cap (one row at
+    least)."""
     total, half = params.num_ksets, params.num_ksets // 2
-    counts, draw = _binomial_draws(params, ps, seed)
     rows = max(1, min(_BATCH_RANKS, max_jsets_cap()) // params.jsets_per_edge)
     uf, done = None, 0
-    for i in sorted(range(len(ps)), key=counts.__getitem__):
+    for i in sorted(range(len(counts)), key=counts.__getitem__):
         m = counts[i]
         if uf is None or done <= half < m:  # a chain starts
             uf, new = JSetUnionFind(params), _distinct_ranks(draw, total, m)
@@ -398,7 +398,7 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
     labels, ps = ("below", "above"), [(base - omega) / scale, (base + omega) / scale]
     faults = [f"probe probability {p} (side {label}) outside [0, 1]" for label, p in zip(labels, ps)]
     sides = []
-    for label, p, rows in zip(labels, ps, _static_censuses(cfg, ps, faults)):
+    for label, p, rows in zip(labels, ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
         trials = tuple(ProbeTrial(t, seed, c.is_j_connected, c.isolated_count > 0) for t, seed, c in rows)
         connected, isolated = sum(r.connected for r in trials), sum(r.has_isolated for r in trials)
         sides.append(ProbeSide(label, p, trials, connected / len(trials), isolated / len(trials)))
@@ -407,8 +407,9 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
 
 def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     """Score how evenly the largest component covers ell-sets, at
-    p = (1 + gamma) * p_g, for every ell in the config's ell_list.  Each
-    trial's edge count is checked at its draw, between the scorer's checks."""
+    p = (1 + gamma) * p_g, for every ell in the config's ell_list.  Every
+    ell and its scored ell-set count are checked before the first draw, and
+    every edge count before the first census, by the static driver."""
     cfg.params.check_jsets()
     params = cfg.params
     gamma = cfg.require("gamma")
@@ -416,20 +417,18 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
         raise ValidationError(f"gamma must be positive, got {gamma}")
     if not cfg.ell_list:
         raise ValidationError("smoothness probe needs a nonempty ell_list")
+    for ell in cfg.ell_list:  # smoothness_score's checks, made before the first draw
+        if not 0 <= ell < params.j:
+            raise ValidationError(f"ell must satisfy 0 <= ell < j, got ell={ell}, j={params.j}")
+        check_cap("ell-sets scored", min(binomial(params.n, ell), cfg.sample_cap))
     p = (1.0 + gamma) * thresholds(params).p_g
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]")
-    out: list[SmoothnessTrial] = []
-    for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        ((_, uf),) = _static_union_finds(params, [p], seed)
+
+    def score(uf: JSetUnionFind, seed: int) -> tuple[int, dict[int, SmoothnessReport]]:
         members = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
-        if not len(members):
-            out.append(SmoothnessTrial(t, seed, True, 0, {}))
-            continue
-        reports = {
-            ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed)
-            for ell in cfg.ell_list
-        }
-        out.append(SmoothnessTrial(t, seed, False, len(members), reports))
-    return out
+        if not len(members):  # no edges: flagged, nothing to score
+            return 0, {}
+        return len(members), {ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed)
+                              for ell in cfg.ell_list}
+
+    (rows,) = _static_censuses(cfg, [p], [f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]"], score)
+    return [SmoothnessTrial(t, seed, not size, size, reports) for t, seed, (size, reports) in rows]

@@ -23,10 +23,11 @@ keys.  It reads words past the last kept draw, so it is the generator's last
 use: every caller seeds a fresh one and drops it after.  The replay
 defines the process: ``EdgeStream`` yields its ranks in draw order, and the
 samplers and ``hitting`` read the same draws; a binomial sample is its count,
-then that draw on the same generator (``_binomial_draws``, for one or several
-p).  The replay is exact as long as ``randrange`` keeps its word use (true of
-CPython 3.11, and pinned by the tests on the running interpreter against the
-loop itself).
+then that draw on the same generator (``_binomial_count``); a count at any p
+in (0, 1) reads the same two words, so one draw past them serves every p on
+a seed (``_binomial_draw``).  The replay is exact as long as ``randrange``
+keeps its word use (true of CPython 3.11, and pinned by the tests on the
+running interpreter against the loop itself).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -168,26 +169,27 @@ def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
 
 def _binomial_ranks(params: Params, p: float, seed: int) -> np.ndarray:
     """``sample_binomial``'s draw: its edges' colex ranks, ascending."""
-    (m,), draw = _binomial_draws(params, [p], seed)
-    return np.sort(_distinct_ranks(draw, params.num_ksets, m))
+    m, rng = _binomial_count(params, p, seed)
+    return np.sort(_draw_distinct_ranks(rng, params.num_ksets, m))
 
 
-def _binomial_draws(params: Params, ps: list[float], seed: int) -> tuple[list[int], np.ndarray]:
-    """Each p's ``sample_binomial(params, p, seed)`` edge count, and one
-    ``first_distinct_ranks`` draw holding every such sample: sample i is
-    ``_distinct_ranks(draw, C(n, k), counts[i])``.  Each count is drawn on a
-    fresh generator and checked against the guardrail; every p in (0, 1)
-    reads the same two words, so the draw continues from any of them."""
-    total = params.num_ksets
-    counts, rng = [], None
-    for p in ps:
-        _validate_probability(p, "p")
-        gen = random.Random(seed)
-        counts.append(_draw_binomial_count(gen, total, p))
-        check_cap("edge count m", counts[-1])
-        if rng is None or 0.0 < p < 1.0:
-            rng = gen  # every p in (0, 1) leaves its generator in the same state
-    return counts, first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
+def _binomial_count(params: Params, p: float, seed: int) -> tuple[int, random.Random]:
+    """``sample_binomial``'s edge count, guardrail-checked, and its generator,
+    whose next words the sample's rank draw reads."""
+    _validate_probability(p, "p")
+    rng = random.Random(seed)
+    m = _draw_binomial_count(rng, params.num_ksets, p)
+    check_cap("edge count m", m)
+    return m, rng
+
+
+def _binomial_draw(params: Params, counts, seed: int) -> np.ndarray:
+    """One rank draw holding each count's sample on `seed`: count m's is
+    ``_distinct_ranks(draw, C(n, k), m)``.  It skips the one ``random()`` a
+    count at p in (0, 1) reads; at p = 0 or 1 no draw is needed."""
+    rng, total = random.Random(seed), params.num_ksets
+    rng.random()
+    return first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
 
 
 def second_round_probability(p: float, p0: float) -> float:

@@ -10,7 +10,7 @@ from hyperphase import analysis, components, experiments, models
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
 from hyperphase.combinatorics import colex_unrank_array, jset_ranks
 from hyperphase.components import JSetUnionFind, component_summary, largest_component_jsets
-from hyperphase.errors import ValidationError
+from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.experiments import (
     ExperimentConfig,
     HittingRecord,
@@ -110,7 +110,8 @@ def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, blo
     for seed in range(12):
         samples = [sample_binomial(params, p, seed) for p in ps]
         order = []
-        for i, uf in experiments._static_union_finds(params, list(ps), seed):
+        counts = [models._binomial_count(params, p, seed)[0] for p in ps]
+        for i, uf in experiments._static_union_finds(params, counts, models._binomial_draw(params, counts, seed)):
             assert uf.summary() == component_summary(samples[i])
             largest = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
             assert np.array_equal(largest, largest_component_jsets(samples[i]))
@@ -127,12 +128,17 @@ def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
     cfg = ExperimentConfig(params=params, trials=10, base_seed=1, eps_grid=eps_grid)
     expected = run_phase_sweep(cfg)
     counts = [[sample_binomial(params, point.p, 1 + t).m for point in expected] for t in range(cfg.trials)]
-    draws, chains = [], []  # chains: [union-find, rows merged], in creation order
+    draws, chains, seen = [], [], []  # chains: [union-find, rows merged], in creation order
     draw, init, apply_ranks = models.first_distinct_ranks, JSetUnionFind.__init__, JSetUnionFind.apply_ranks
+    count = models._draw_binomial_count
 
     def spy_draw(rng, total, count):
         draws.append(count)
         return draw(rng, total, count)
+
+    def spy_count(rng, total, p):
+        seen.append(p)
+        return count(rng, total, p)
 
     def spy_init(uf, p):
         init(uf, p)
@@ -145,7 +151,12 @@ def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
     monkeypatch.setattr(models, "first_distinct_ranks", spy_draw)
     monkeypatch.setattr(JSetUnionFind, "__init__", spy_init)
     monkeypatch.setattr(JSetUnionFind, "apply_ranks", spy_apply)
+    monkeypatch.setattr(models, "_draw_binomial_count", spy_count)
     assert run_phase_sweep(cfg) == expected
+    # one count per (point, trial), point-major; a p in (1/2, 1) draws its
+    # mirror 1 - p inside that call
+    ps = [point.p for point in expected]
+    assert seen == [q for p in ps for _ in range(cfg.trials) for q in ([p, 1.0 - p] if 0.5 < p < 1.0 else [p])]
     # one draw per trial, as long as its longest prefix
     assert draws == [max(min(m, 15 - m) for m in ms) for ms in counts]
     # a prefix chain (m <= 7) and a complement chain (m > 7) per trial, each
@@ -154,6 +165,17 @@ def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
     for ms in counts:
         per_chain += [max(side) for side in ([m for m in ms if m <= 7], [m for m in ms if m > 7]) if side]
     assert [rows for _, rows in chains] == per_chain and len(per_chain) > cfg.trials
+
+
+def test_static_counts_take_one_inversion_block_per_point():
+    # the counts are drawn point by point, so each p's cached log-CDF block
+    # is built once, though the cache holds fewer blocks than there are p
+    eps_grid = (-0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8)
+    assert len(eps_grid) > models._inversion_block.cache_info().maxsize
+    cfg = ExperimentConfig(params=Params(3, 2, 30), trials=4, base_seed=1, eps_grid=eps_grid)
+    models._inversion_block.cache_clear()
+    points = run_phase_sweep(cfg)
+    assert models._inversion_block.cache_info().misses == len({point.p for point in points}) == len(eps_grid)
 
 
 def test_hitting_single_edge_case():
@@ -474,7 +496,7 @@ def test_smoothness_probe_flags_edgeless_draws():
         assert tr.flagged == (sample_binomial(params, p, tr.seed).m == 0)
 
 
-def test_smoothness_probe_validation():
+def test_smoothness_probe_validation(monkeypatch):
     params = Params(3, 2, 20)
     with pytest.raises(ValidationError, match="gamma"):
         run_smoothness_probe(ExperimentConfig(params=params, trials=1, ell_list=(1,)))
@@ -482,3 +504,28 @@ def test_smoothness_probe_validation():
         run_smoothness_probe(
             ExperimentConfig(params=params, regime=RegimeParams(gamma=0.5), trials=1)
         )
+    # every ell is checked before the first draw: here trial 0 draws no
+    # edges, so the scorer, which checks ell too, would never run
+    params, regime = Params(3, 2, 8), RegimeParams(gamma=0.01)
+    p = 1.01 * thresholds(params).p_g
+    assert sample_binomial(params, p, 31).m == 0
+    good = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=31, ell_list=(1,))
+    assert [t.flagged for t in run_smoothness_probe(good)] == [True]
+
+    def no_draw(*args):
+        raise AssertionError("the ell_list must be checked before the first draw")
+
+    monkeypatch.setattr(models, "_draw_binomial_count", no_draw)
+    for ell_list in [(7, -3), (1, 2), (-1,)]:
+        with pytest.raises(ValidationError, match=r"^ell must satisfy 0 <= ell < j, got ell=(7|2|-1), j=2$"):
+            run_smoothness_probe(dataclasses.replace(good, ell_list=ell_list))
+    # and so is its guardrail on the scored ell-sets: C(5, 2) = 10 pass a cap
+    # of 9, though the one k-set of (5, 4, 5) is no edge on seed 0
+    monkeypatch.undo()
+    params = Params(5, 4, 5)
+    assert sample_binomial(params, 1.01 * thresholds(params).p_g, 0).m == 0
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "9")
+    monkeypatch.setattr(models, "_draw_binomial_count", no_draw)
+    capped = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=0, ell_list=(1, 2))
+    with pytest.raises(ResourceLimitError, match=r"^ell-sets scored = 10 exceeds the guardrail cap 9 "):
+        run_smoothness_probe(capped)

@@ -404,6 +404,22 @@ def test_binomial_inversion_replay_matches_scalar_loop():
 
 
 def test_binomial_count_draw_matches_scalar_path(monkeypatch):
+    # a static run's one rank draw per seed (_binomial_draw) starts past one
+    # random(): every count at p in (0, 1) must stop there, on the inversion
+    # branch, the normal approximation (a mean past 8) and the p > 1/2
+    # mirror; a count at p = 0 or 1 reads no word
+    params = Params(3, 2, 100)
+    for inversion_mean in (models._MAX_INVERSION_MEAN, 8.0):
+        monkeypatch.setattr(models, "_MAX_INVERSION_MEAN", inversion_mean)
+        for p, seed in [(0.12, 1), (0.004, 2), (0.5, 3), (0.88, 4), (0.9999, 5), (1e-7, 6)]:
+            m, rng = models._binomial_count(params, p, seed)
+            after = random.Random(seed)
+            after.random()
+            assert rng.getstate() == after.getstate() and m == sample_binomial(params, p, seed).m
+        for p in (0.0, 1.0):
+            m, rng = models._binomial_count(params, p, 7)
+            assert rng.getstate() == random.Random(7).getstate() and m == p * params.num_ksets
+    monkeypatch.undo()
     cases = [(161_700, 0.12), (551_300, 0.0036), (1000, 0.7), (40, 0.999), (10**6, 3e-7)]
     fast = {
         (n, p, s): models._draw_binomial_count(random.Random(s), n, p) for n, p in cases for s in range(40)

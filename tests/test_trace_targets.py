@@ -19,6 +19,7 @@ import hyperphase.cli as cli
 import hyperphase.components as components
 import hyperphase.experiments as experiments
 import hyperphase.models as models
+from hyperphase.analysis import RegimeParams
 from hyperphase.params import Params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +82,19 @@ def test_rebound_post_init_runs_on_every_sample(monkeypatch):
     monkeypatch.setattr(models.Hypergraph, "__post_init__", wrapped)
     h = experiments.sample_binomial(Params(3, 2, 12), 0.3, 4)
     assert seen == [h.m] and h.m == len(h.edges)
+
+
+def test_static_runs_call_the_rebound_census(monkeypatch):
+    # the tracer rebinds JSetUnionFind.summary on the class after import: the
+    # static driver must look it up on the instance, once per (point, trial)
+    calls = []
+    summary = components.JSetUnionFind.summary
+    monkeypatch.setattr(components.JSetUnionFind, "summary", lambda uf: calls.append(uf) or summary(uf))
+    experiments.run_phase_sweep(experiments.ExperimentConfig(Params(3, 2, 10), trials=3, eps_grid=(-0.5, 0.5, 1.0)))
+    assert len(calls) == 3 * 3
+    cfg = experiments.ExperimentConfig(Params(3, 2, 10), RegimeParams(omega=1.0), trials=4)
+    experiments.run_connectivity_probe(cfg)
+    assert len(calls) == 3 * 3 + 2 * 4
 
 
 def test_installed_tracer_counts_unions_of_apply_edge():

@@ -29,7 +29,6 @@ from .combinatorics import (
     colex_unrank,
     colex_unrank_array,
     jset_rank_array,
-    jset_ranks,
     max_jsets_cap,
     validate_subset,
 )

@@ -90,11 +90,12 @@ class GWResult:
 
 
 def thresholds(params: Params) -> Thresholds:
-    """Exact evaluation of the two threshold formulas."""
+    """Exact evaluation of the two threshold formulas, in exact integers
+    until the last division (no allocation, so no 64-bit cap)."""
     k, j, n = params.k, params.j, params.n
-    denom = binomial(n, k - j)
+    denom = math.comb(n, k - j)
     return Thresholds(
-        p_g=1.0 / ((binomial(k, j) - 1) * denom),
+        p_g=1.0 / ((math.comb(k, j) - 1) * denom),
         p_c=j * math.log(n) / denom,
     )
 
@@ -217,8 +218,8 @@ def gw_survival(params: Params, p: float) -> GWResult:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
-    lam = binomial(params.n, params.k - params.j) * p
-    batch = binomial(params.k, params.j) - 1
+    lam = math.comb(params.n, params.k - params.j) * p  # exact integers: no 64-bit cap
+    batch = math.comb(params.k, params.j) - 1
     mean_offspring = batch * lam
     if mean_offspring <= 1.0:
         return GWResult(lam, batch, mean_offspring, 0.0, 0)

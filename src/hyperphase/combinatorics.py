@@ -81,20 +81,7 @@ def check_cap(what: str, count: int) -> None:
 
 def colex_rank(s: Sequence[int]) -> int:
     """Colex rank of a canonical (strictly increasing, 1-based) subset."""
-    return jset_ranks(s, len(s))[0]
-
-
-def jset_ranks(edge: Sequence[int], j: int) -> list[int]:
-    """Colex ranks of the C(k, j) j-subsets of a canonical edge, in
-    ``itertools.combinations`` order (not sorted).  No validation: callers
-    check the edge first."""
-    ranks = []
-    for sub in combinations(edge, j):
-        r = 0
-        for i, v in enumerate(sub, start=1):
-            r += math.comb(v - 1, i)
-        ranks.append(r)
-    return ranks
+    return sum(math.comb(v - 1, i) for i, v in enumerate(s, start=1))
 
 
 def colex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
@@ -162,7 +149,8 @@ def colex_unrank_array(ranks: Sequence[int] | np.ndarray, size: int, n: int) -> 
 
 
 def jset_rank_array(edges: np.ndarray, j: int, n: int) -> np.ndarray:
-    """jset_ranks of every row of an (m, k) array of canonical edges on [n], as
+    """The colex ranks of the C(k, j) j-subsets of every row of an (m, k)
+    array of canonical edges on [n], in ``itertools.combinations`` order, as
     an (m, C(k, j)) int64 array, the transpose of a row-major buffer; rows
     unchecked."""
     m, k = edges.shape

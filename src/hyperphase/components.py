@@ -8,11 +8,13 @@ vertices exactly when they share a full j-set.  Merging every applied
 edge's j-subsets therefore produces precisely the transitive closure of
 the walk relation.  The engine has one merge kernel, ``merge_ranks``: it
 labels the rows of an int64 j-set rank array by hook-and-compress.
-``JSetUnionFind.apply_ranks`` wraps it, and ``apply_edge`` and
-``component_summary`` rank one edge or a whole ``Hypergraph.array`` and
-call that; ``hitting`` calls it on one label array per batch of trials.
-``bfs_components`` recomputes components from pairwise edge intersections
-instead and exists to cross-check that equivalence, not to restate it.
+``JSetUnionFind.apply_ranks`` wraps it: ``apply_edge`` ranks one edge with
+``colex_rank``, and ``component_summary`` ranks a ``Hypergraph.array`` with
+``jset_rank_array`` in blocks of ``block_rows`` edges, as the static runs
+do; ``hitting`` calls it on one label array per batch of trials.
+``bfs_components`` and ``bfs_explore`` hold no ranks: they walk j-set
+tuples.  ``bfs_components`` recomputes components from pairwise edge
+intersections and exists to cross-check that equivalence, not to restate it.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import Edge, JSet, colex_rank, colex_unrank, colex_unrank_array
-from .combinatorics import jset_rank_array, jset_ranks, validate_subset
+from .combinatorics import Edge, JSet, colex_rank, colex_unrank_array, jset_rank_array, max_jsets_cap, validate_subset
+from .combinatorics import colex_unrank  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ResourceLimitError, ValidationError
 from .models import Hypergraph
 from .params import Params
 
 BFS_ORACLE_MAX_JSETS = 10_000
+_BATCH_RANKS = 2**13  # int64 j-set ranks in one block: 64 KiB, under glibc's 128 KiB mmap threshold
 
 
 class JSetUnionFind:
@@ -74,7 +77,7 @@ class JSetUnionFind:
         Idempotent: re-applying an edge returns 0.
         """
         edge = validate_subset(edge, self.params.k, self.params.n, "edge")
-        ranks = jset_ranks(edge, self.params.j)
+        ranks = [colex_rank(s) for s in combinations(edge, self.params.j)]
         unions = len(set(self._labels[ranks].tolist())) - 1  # the edge joins the sets it meets
         self.apply_ranks(np.array([ranks], dtype=np.int64))
         return unions
@@ -173,6 +176,12 @@ def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
 
 
+def block_rows(ranks_per_row: int) -> int:
+    """How many rows of `ranks_per_row` j-set ranks one block holds: as many
+    as fit ``_BATCH_RANKS`` and the guardrail cap, one at least."""
+    return max(1, min(_BATCH_RANKS, max_jsets_cap()) // ranks_per_row)
+
+
 def _compress(parent: np.ndarray) -> np.ndarray:
     """Pointer jumping: a copy of the forest with every node pointing at its root."""
     while True:
@@ -183,9 +192,12 @@ def _compress(parent: np.ndarray) -> np.ndarray:
 
 
 def _union_find(h: Hypergraph) -> JSetUnionFind:
-    """A fresh union-find with every edge of `h` applied in one batch."""
-    uf = JSetUnionFind(h.params)
-    uf.apply_ranks(jset_rank_array(h.array, h.params.j, h.params.n))  # h.array is validated
+    """A fresh union-find with every edge of `h` applied, in blocks of
+    ``block_rows`` edges."""
+    params = h.params
+    uf, rows = JSetUnionFind(params), block_rows(params.jsets_per_edge)
+    for b in range(0, h.m, rows):
+        uf.apply_ranks(jset_rank_array(h.array[b:b + rows], params.j, params.n))  # h.array is validated
     return uf
 
 
@@ -249,39 +261,37 @@ def bfs_explore(
     """Explore the component of `start` generation by generation.
 
     Generation i+1 holds every unseen j-set lying in an edge together with
-    some generation-i j-set, ascending by colex rank.  Stops after
-    max_generations expansions (None means unbounded) or when a generation
-    comes up empty; `exhausted` tells whether the whole component was
-    discovered.  Walks an index from each j-set rank to the edges holding
-    it: one pass over the edges builds it, the walk is linear in the
-    component, and memory grows with the edges whatever n.  Ranks are exact
-    Python integers, so C(n, j) past the int64 range is fine.
+    some generation-i j-set, in colex order.  Stops after max_generations
+    expansions (None means unbounded) or when a generation comes up empty;
+    `exhausted` tells whether the whole component was discovered.  Walks an
+    index from each j-set to the edges holding it: one pass over the edges
+    builds it, the walk is linear in the component, and memory grows with
+    the edges whatever n.
     """
     j, n = h.params.j, h.params.n
     start = validate_subset(start, j, n, "j-set")
     if max_generations is not None and max_generations < 0:
         raise ValueError(f"max_generations must be >= 0, got {max_generations}")
 
-    edge_ranks = [jset_ranks(e, j) for e in h.edges]
-    index: dict[int, list[int]] = {}
-    for ei, ranks in enumerate(edge_ranks):
-        for r in ranks:
-            index.setdefault(r, []).append(ei)
-    first = colex_rank(start)
-    seen = {first}
-    processed = [False] * len(edge_ranks)
+    edge_jsets = [list(combinations(e, j)) for e in h.edges]
+    index: dict[JSet, list[int]] = {}
+    for ei, jsets in enumerate(edge_jsets):
+        for s in jsets:
+            index.setdefault(s, []).append(ei)
+    seen = {start}
+    processed = [False] * len(edge_jsets)
 
-    def expand(frontier: list[int]) -> list[int]:
-        out: list[int] = []
-        for r in frontier:
-            for ei in index.get(r, ()):
+    def expand(frontier: list[JSet]) -> list[JSet]:
+        out: list[JSet] = []
+        for s in frontier:
+            for ei in index.get(s, ()):
                 if not processed[ei]:
                     processed[ei] = True
-                    out.extend(t for t in edge_ranks[ei] if t not in seen)
-                    seen.update(edge_ranks[ei])
-        return sorted(out)  # colex order
+                    out.extend(t for t in edge_jsets[ei] if t not in seen)
+                    seen.update(edge_jsets[ei])
+        return sorted(out, key=lambda t: t[::-1])  # colex order
 
-    generations = [[first]]
+    generations = [[start]]
     exhausted = False
     while max_generations is None or len(generations) - 1 < max_generations:
         nxt = expand(generations[-1])
@@ -291,5 +301,4 @@ def bfs_explore(
         generations.append(nxt)
     if not exhausted:
         exhausted = not expand(generations[-1])  # peek one generation further
-    gens = tuple(tuple(colex_unrank(r, j, n) for r in gen) for gen in generations)
-    return ExplorationRecord(start=start, generations=gens, exhausted=exhausted)
+    return ExplorationRecord(start=start, generations=tuple(map(tuple, generations)), exhausted=exhausted)

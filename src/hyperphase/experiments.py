@@ -31,8 +31,8 @@ from .analysis import (
     smoothness_score,
     thresholds,
 )
-from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
-from .components import JSetUnionFind, merge_ranks
+from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array
+from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
@@ -40,9 +40,6 @@ from .models import _binomial_count, _binomial_draw, _binomial_ranks, _distinct_
 from .models import first_distinct_ranks, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
-
-_BATCH_RANKS = 2**13  # int64 j-set ranks in one batch of trials: 64 KiB, under glibc's 128 KiB mmap threshold
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -228,10 +225,9 @@ def _static_union_finds(params: Params, counts, draw: np.ndarray):
     (Newman & Ziff 2001, made exact).  Counts up to C(n, k) // 2 take
     prefixes, the rest complements of prefixes; each chain grows one
     union-find by its new ranks only, sorted (they unrank faster) in blocks
-    whose j-set ranks fit ``_BATCH_RANKS`` and the guardrail cap (one row at
-    least)."""
+    of ``block_rows`` rows."""
     total, half = params.num_ksets, params.num_ksets // 2
-    rows = max(1, min(_BATCH_RANKS, max_jsets_cap()) // params.jsets_per_edge)
+    rows = block_rows(params.jsets_per_edge)
     uf, done = None, 0
     for i in sorted(range(len(counts)), key=counts.__getitem__):
         m = counts[i]
@@ -252,9 +248,9 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     gives the process's ranks in order, the ones ``process_stream`` reads
     one edge at a time.  The prefix starts at C(n, k) * (ln C(n, j) + 3) /
     C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated.
-    ``_hitting_times`` takes consecutive trials in batches whose rank arrays
-    fit ``_BATCH_RANKS`` and the guardrail cap (one trial at least); a trial
-    whose prefix ends before T_c goes into the next pass, twice as long.
+    ``_hitting_times`` takes consecutive trials in batches of ``block_rows``
+    trials, one trial's rank array a row; a trial whose prefix ends before
+    T_c goes into the next pass, twice as long.
     Ranks drawn past T_c are discarded, which keeps the RNG contract: no
     other trial reads that generator."""
     params = cfg.params
@@ -265,7 +261,7 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     times: dict[int, tuple[int, int]] = {}
     pending = list(range(cfg.trials))
     while pending:
-        per_batch = max(1, min(_BATCH_RANKS, max_jsets_cap()) // (count * params.jsets_per_edge))
+        per_batch = block_rows(count * params.jsets_per_edge)
         for b in range(0, len(pending), per_batch):
             batch = pending[b:b + per_batch]
             seeds = [trial_seed(cfg.base_seed, t) for t in batch]
@@ -286,7 +282,7 @@ def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[i
     there w.h.p., by the hitting-time theorem), and each later call one
     more row of every trial still split.  The labels
     (B * C(n, j)) and ranks (B * count * C(k, j)) never pass the larger of
-    one trial's arrays and ``_BATCH_RANKS``."""
+    one trial's arrays and ``components._BATCH_RANKS``."""
     check_cap("edge count m", count)
     batch, size = len(seeds), params.num_jsets
     base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
@@ -326,13 +322,13 @@ def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     empirical law of the degree-s count with its Poisson target.  Each
     trial draws ``sample_binomial``'s ranks; consecutive trials are counted
     together, from their touched j-sets only (``_degree_counts``), in
-    batches whose j-set ranks fit ``_BATCH_RANKS`` and the guardrail cap and
+    batches whose j-set ranks fit a block (``block_rows(1)`` of them) and
     whose B * C(n, j) fits int64 (one trial at least), so a run holds one
     batch's arrays and one count per trial."""
     params, s, c = cfg.params, cfg.require("s"), cfg.require("c")
     p = degree_regime_p(params, s, c)
     size, per_edge = params.num_jsets, params.jsets_per_edge
-    budget = min(_BATCH_RANKS, max_jsets_cap())
+    budget = block_rows(1)  # j-set ranks in one batch
     values: list[int] = []
     batch: list[np.ndarray] = []
     held = 0  # edges in the batch

@@ -7,16 +7,19 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperphase.analysis
+import hyperphase.components
 import hyperphase.experiments
 import hyperphase.models
 from hyperphase.analysis import RegimeParams, degree_profile
 from hyperphase.cli import _HANDLERS, cli_dispatch
+from hyperphase.components import largest_component_jsets
 from hyperphase.errors import ResourceLimitError
 from hyperphase.experiments import ExperimentConfig, run_degree_experiment
-from hyperphase.hgio import parse_config
+from hyperphase.hgio import parse_config, parse_hypergraph
 from hyperphase.models import sample_binomial
 from hyperphase.params import Params
 
@@ -94,6 +97,38 @@ def test_sample_round_trips_through_components(tmp_path, capsys, config_100):
     assert code == 0
     record = json.loads(text)
     assert record["m"] == 40
+
+
+def test_components_census_blocks_under_the_cap(tmp_path, capsys, monkeypatch):
+    # the census ranks a file in blocks that fit the guardrail cap, as the
+    # static runs do: 600 (3,2,30) edges hold 1800 j-set ranks, more than a
+    # cap of 1500 or 700, while the 435 labels and the edge count fit both
+    cfg, path = tmp_path / "c.txt", tmp_path / "a.hg"
+    cfg.write_text("k=3\nj=2\nn=30\nseed=1\n", encoding="utf-8")
+    assert cli_dispatch(["sample", "--config", str(cfg), "--m", "600", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, uncapped, _ = run(capsys, ["components", str(path), "--j", "2"])
+    assert code == 0 and json.loads(uncapped)["m"] == 600
+    h = parse_hypergraph(path.read_text(encoding="utf-8"), j=2)
+    largest = largest_component_jsets(h)
+    for cap in (1500, 700):
+        monkeypatch.setenv("HYPERPHASE_MAX_JSETS", str(cap))
+        assert run(capsys, ["components", str(path), "--j", "2"]) == (0, uncapped, "")
+        assert np.array_equal(largest_component_jsets(h), largest)
+
+
+def test_formula_commands_take_exact_integers(tmp_path, capsys):
+    # thresholds and gw allocate nothing, so C(n, k - j) past 2^63 is no fault
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=4\nj=1\nn=10000000\neps=0.5\n", encoding="utf-8")
+    assert math.comb(10**7, 3) > 2**63
+    code, out, err = run(capsys, ["thresholds", "--config", str(cfg)])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"p_g": 2.00000060000014e-21, "p_c": 9.670860291832886e-20}
+    code, out, err = run(capsys, ["gw", "--config", str(cfg)])
+    record = json.loads(out)
+    assert code == 0 and err == "" and record["batch"] == 3
+    assert record["mean_offspring"] == pytest.approx(1.5) and 0 < record["survival"] < 1
 
 
 def test_sample_needs_model_choice(capsys, config_100):
@@ -326,7 +361,7 @@ def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["degrees", "--config", str(path)])
     ms = [sample_binomial(params, uncapped.p, row.seed).m for row in uncapped.trials]
     cap = 3 * max(ms)  # C(3, 1) = 3 j-set ranks per edge
-    assert code == 0 and cap < hyperphase.experiments._BATCH_RANKS < 3 * sum(ms)
+    assert code == 0 and cap < hyperphase.components._BATCH_RANKS < 3 * sum(ms)
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", str(cap))
     del batches[:]
     assert run_degree_experiment(cfg) == uncapped

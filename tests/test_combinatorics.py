@@ -14,10 +14,15 @@ from hyperphase.combinatorics import (
     colex_unrank,
     colex_unrank_array,
     jset_rank_array,
-    jset_ranks,
     validate_subset,
 )
 from hyperphase.errors import ResourceLimitError, ValidationError
+
+
+def jset_ranks(edge, j):
+    """Reference j-subset ranking, one subset at a time: the colex ranks of
+    an edge's j-subsets in ``itertools.combinations`` order."""
+    return [colex_rank(s) for s in combinations(edge, j)]
 
 
 def pascal_table(n_max):
@@ -176,12 +181,12 @@ def test_colex_monotonicity(a, b):
 
 def test_jset_ranks_examples():
     # combinations order, not colex order: lex order puts (1, 4) before (2, 3)
-    assert jset_ranks((1, 2, 3, 4), 2) == [0, 1, 3, 2, 4, 5]
-    assert jset_ranks((1, 2, 3, 4), 1) == [0, 1, 2, 3]
+    assert jset_rank_array(np.array([[1, 2, 3, 4]]), 2, 4).tolist() == [[0, 1, 3, 2, 4, 5]]
+    assert jset_rank_array(np.array([[1, 2, 3, 4]]), 1, 4).tolist() == [[0, 1, 2, 3]]
     # brute-force subset filter oracle
     edge = (2, 4, 5, 7)
     expected = [s for s in combinations(range(1, 8), 3) if set(s) <= set(edge)]
-    assert jset_ranks(edge, 3) == [colex_rank(s) for s in expected]
+    assert jset_rank_array(np.array([edge]), 3, 7).tolist() == [[colex_rank(s) for s in expected]]
     assert len(expected) == 4
 
 
@@ -213,7 +218,8 @@ def test_jset_ranks_properties(k, data):
     n = data.draw(st.integers(k, k + 8))
     edge = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
     j = data.draw(st.integers(1, k - 1))
-    ranks = jset_ranks(edge, j)
+    ranks = jset_rank_array(np.array([edge]), j, n)[0].tolist()
+    assert ranks == jset_ranks(edge, j)
     assert len(ranks) == len(set(ranks)) == binomial(k, j)
     assert all(0 <= r < binomial(n, j) for r in ranks)
     assert [colex_unrank(r, j, n) for r in ranks] == list(combinations(edge, j))

@@ -16,7 +16,7 @@ from hyperphase.components import (
     largest_component_jsets,
     merge_ranks,
 )
-from hyperphase import experiments
+from hyperphase import components, experiments
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.analysis import RegimeParams
 from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run_degree_experiment, run_hitting_time
@@ -88,7 +88,7 @@ def test_hitting_footprint_is_one_batch():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (6 * experiments._BATCH_RANKS + 2 * params.num_jsets)
+        assert peak <= 8 * (6 * components._BATCH_RANKS + 2 * params.num_jsets)
 
 
 def test_degree_footprint_is_one_batch():
@@ -109,7 +109,7 @@ def test_degree_footprint_is_one_batch():
             _, peaks[trials] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks[100] <= 8 * 5 * experiments._BATCH_RANKS
+    assert peaks[100] <= 8 * 5 * components._BATCH_RANKS
     assert abs(peaks[800] - peaks[100]) <= 16 * (800 - 100)
 
 
@@ -130,7 +130,7 @@ def test_static_footprint_is_one_draw():
     finally:
         tracemalloc.stop()
     m = sample_binomial(params, res.above.p, 1).m
-    assert peak <= 8 * (8 * m + 2 * params.num_jsets + 6 * experiments._BATCH_RANKS)
+    assert peak <= 8 * (8 * m + 2 * params.num_jsets + 6 * components._BATCH_RANKS)
 
 
 def test_apply_edge_merges_and_is_idempotent():

@@ -1,14 +1,14 @@
 import dataclasses
 import math
 import statistics
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
 
 from hyperphase import analysis, components, experiments, models
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
-from hyperphase.combinatorics import colex_unrank_array, jset_ranks
+from hyperphase.combinatorics import colex_rank, colex_unrank_array
 from hyperphase.components import JSetUnionFind, component_summary, largest_component_jsets
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.experiments import (
@@ -99,13 +99,13 @@ STATIC_CASES = [
 
 
 @pytest.mark.parametrize("params,ps", STATIC_CASES, ids=[f"{p.k}-{p.j}-{p.n}" for p, _ in STATIC_CASES])
-@pytest.mark.parametrize("block", [5, experiments._BATCH_RANKS])
+@pytest.mark.parametrize("block", [5, components._BATCH_RANKS])
 @pytest.mark.parametrize("inversion_mean", [8.0, models._MAX_INVERSION_MEAN])
 def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, block, inversion_mean):
     # a mean past 8 takes the normal approximation, so a trial's counts mix
     # both branches; a block of 5 j-set ranks merges one or two rows at a time
     monkeypatch.setattr(models, "_MAX_INVERSION_MEAN", inversion_mean)
-    monkeypatch.setattr(experiments, "_BATCH_RANKS", block)
+    monkeypatch.setattr(components, "_BATCH_RANKS", block)
     total, sides = params.num_ksets, set()
     for seed in range(12):
         samples = [sample_binomial(params, p, seed) for p in ps]
@@ -225,7 +225,7 @@ def per_edge_hitting_time(cfg):
         for edge in process_stream(params, seed):
             step += 1
             uf.apply_edge(edge)
-            touched.update(jset_ranks(edge, params.j))
+            touched.update(colex_rank(s) for s in combinations(edge, params.j))
             if t_i == 0 and len(touched) == params.num_jsets:
                 t_i = step
             if uf.is_j_connected:
@@ -329,7 +329,7 @@ def test_hitting_batches_never_mix_trials(monkeypatch, params, base_seed, budget
         for t in range(40)
     ]
     if budget:  # batches of 4 (2,1,20) trials, so the redraw and the forward steps fall mid-run
-        monkeypatch.setattr(experiments, "_BATCH_RANKS", budget)
+        monkeypatch.setattr(components, "_BATCH_RANKS", budget)
     batches = spy_batches(monkeypatch)
     records = run_hitting_time(ExperimentConfig(params=params, trials=40, base_seed=base_seed))
     assert records == [dataclasses.replace(rec, trial=t) for t, rec in enumerate(single)]
@@ -411,7 +411,7 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
     # one trial per batch, a few (1 to 18 here, by edge count), the whole run
     # in one batch, and pairs when B * C(n, j) may not pass 3 * C(n, j) - 1
     for budget, shape in ((1, "one"), (2500, "several"), (10**12, "whole"), (10**12, "pairs")):
-        monkeypatch.setattr(experiments, "_BATCH_RANKS", budget)
+        monkeypatch.setattr(components, "_BATCH_RANKS", budget)
         if shape == "pairs":  # stands in for int64, which no instance small enough to run here reaches
             monkeypatch.setattr(experiments, "INT64_MAX", 3 * params.num_jsets - 1)
         batches, ranked = spy_degree_batches(monkeypatch)

@@ -97,6 +97,37 @@ def test_static_runs_call_the_rebound_census(monkeypatch):
     assert len(calls) == 3 * 3 + 2 * 4
 
 
+def qualified(owner):
+    return owner.__name__ if inspect.ismodule(owner) else f"{owner.__module__}.{owner.__qualname__}"
+
+
+def test_tracer_replaces_exactly_the_rebound_names():
+    # the real installer in a fresh interpreter: every attribute of a
+    # hyperphase module or class that it replaces or adds is in REBOUND, and
+    # every REBOUND entry is replaced
+    script = f"""
+import inspect, json, sys
+sys.path[:0] = [{str(ROOT / "bench")!r}, {str(ROOT / "src")!r}]
+import hyperphase.cli
+from tracing import Recorder, install
+owners = {{}}
+for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hyperphase"]:
+    owners[module.__name__] = module
+    for obj in vars(module).values():
+        if inspect.isclass(obj) and obj.__module__.split(".")[0] == "hyperphase":
+            owners[f"{{obj.__module__}}.{{obj.__qualname__}}"] = obj
+before = {{name: dict(vars(owner)) for name, owner in owners.items()}}
+install(Recorder())
+missing = object()
+print(json.dumps([[name, attr] for name, owner in owners.items()
+                  for attr, value in vars(owner).items() if before[name].get(attr, missing) is not value]))
+"""
+    cmd = [sys.executable, "-B", "-c", script]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+    replaced = {tuple(pair) for pair in json.loads(run.stdout)}
+    assert replaced == {(qualified(owner), name) for owner, name in REBOUND}
+
+
 def test_installed_tracer_counts_unions_of_apply_edge():
     # the real installer in a fresh interpreter (it rebinds package-wide);
     # -B keeps bytecode caches out of bench/

@@ -64,7 +64,7 @@ from .experiments import (
     run_smoothness_probe,
     tv_to_poisson,
 )
-from .hgio import ResultTable, parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
+from .hgio import parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
 from .models import (
     Hypergraph,
     process_stream,

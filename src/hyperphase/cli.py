@@ -28,7 +28,7 @@ from .experiments import (
     run_phase_sweep,
     run_smoothness_probe,
 )
-from .hgio import ResultTable, parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
+from .hgio import parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
 from .models import sample_binomial, sample_uniform
 
 
@@ -80,7 +80,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse handles -h and usage errors itself
         return 0 if exc.code in (0, None) else 1
     try:
-        text, notes = _run(args)
+        text, notes = _HANDLERS[args.command](args)
         for note in notes:
             print(note, file=sys.stderr)
         if args.out is not None:
@@ -100,11 +100,6 @@ def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 
-def _run(args: argparse.Namespace) -> tuple[str, list[str]]:
-    handler = _HANDLERS[args.command]
-    return handler(args)
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is None:
         raise ValidationError(f"'{args.command}' needs --config")
@@ -116,15 +111,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _render_record(record: dict, args: argparse.Namespace) -> str:
     if args.format == "csv":
-        table = ResultTable(list(record), [list(record.values())])
-        return write_csv(table)
+        return write_csv(list(record), [list(record.values())])
     return json.dumps(record) + "\n"
 
 
-def _render_table(table: ResultTable, args: argparse.Namespace) -> str:
+def _render_rows(columns: list[str], rows: list[list[object]], args: argparse.Namespace) -> str:
     if args.format == "json":
-        return write_json(table)
-    return write_csv(table)
+        return write_json(columns, rows)
+    return write_csv(columns, rows)
 
 
 def _advisory_notes(cfg: ExperimentConfig, regimes) -> list[str]:
@@ -218,17 +212,15 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     points = run_phase_sweep(cfg)
     total = cfg.params.num_jsets
-    table = ResultTable(
-        ["eps", "p", "trial", "seed", "largest", "second",
-         "largest_fraction", "second_fraction", "predicted_fraction"]
-    )
-    notes = []
+    columns = ["eps", "p", "trial", "seed", "largest", "second",
+               "largest_fraction", "second_fraction", "predicted_fraction"]
+    rows, notes = [], []
     for pt in points:
-        for row in pt.trials:
-            table.add_row(
-                pt.eps, pt.p, row.trial, row.seed, row.largest, row.second,
-                row.largest / total, row.second / total, pt.predicted_fraction,
-            )
+        rows.extend(
+            [pt.eps, pt.p, row.trial, row.seed, row.largest, row.second,
+             row.largest / total, row.second / total, pt.predicted_fraction]
+            for row in pt.trials
+        )
         stats = pt.largest_fraction
         predicted = "n/a" if pt.predicted_fraction is None else f"{pt.predicted_fraction:.4f}"
         notes.append(
@@ -236,66 +228,62 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
     advisories = _advisory_notes(cfg, [replace(cfg.regime, eps=eps) for eps in cfg.eps_grid])
-    return _render_table(table, args), notes + advisories
+    return _render_rows(columns, rows, args), notes + advisories
 
 
 def _cmd_hitting(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     records = run_hitting_time(cfg)
-    table = ResultTable(["trial", "seed", "T_c", "T_i", "equal"])
-    for r in records:
-        table.add_row(r.trial, r.seed, r.t_c, r.t_i, r.equal)
+    columns = ["trial", "seed", "T_c", "T_i", "equal"]
+    rows = [[r.trial, r.seed, r.t_c, r.t_i, r.equal] for r in records]
     frac = sum(r.equal for r in records) / len(records)
-    return _render_table(table, args), [f"T_c == T_i in {frac:.1%} of {len(records)} runs"]
+    return _render_rows(columns, rows, args), [f"T_c == T_i in {frac:.1%} of {len(records)} runs"]
 
 
 def _cmd_degrees(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     res = run_degree_experiment(cfg)
-    table = ResultTable(["trial", "seed", "s", "c", "p", "count"])
-    for r in res.trials:
-        table.add_row(r.trial, r.seed, res.s, res.c, res.p, r.count)
+    columns = ["trial", "seed", "s", "c", "p", "count"]
+    rows = [[r.trial, r.seed, res.s, res.c, res.p, r.count] for r in res.trials]
     notes = [
         f"s={res.s} c={res.c}: mean D_s = {res.mean_count:.3f}, "
         f"TV to Poisson({res.poisson_rate:.4f}) = {res.tv_distance:.4f}"
     ]
-    return _render_table(table, args), notes
+    return _render_rows(columns, rows, args), notes
 
 
 def _cmd_connprobe(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     res = run_connectivity_probe(cfg)
-    table = ResultTable(["side", "p", "trial", "seed", "is_j_connected", "has_isolated"])
-    notes = []
+    columns = ["side", "p", "trial", "seed", "is_j_connected", "has_isolated"]
+    rows, notes = [], []
     for side in (res.below, res.above):
-        for r in side.trials:
-            table.add_row(side.label, side.p, r.trial, r.seed, r.connected, r.has_isolated)
+        rows.extend([side.label, side.p, r.trial, r.seed, r.connected, r.has_isolated] for r in side.trials)
         notes.append(
             f"{side.label} (p={side.p:.5g}): P(j-connected) = {side.fraction_connected:.2f}, "
             f"P(isolated j-set) = {side.fraction_isolated:.2f}"
         )
-    return _render_table(table, args), notes
+    return _render_rows(columns, rows, args), notes
 
 
 def _cmd_smooth(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     trials = run_smoothness_probe(cfg)
-    table = ResultTable(
-        ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
-         "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
-    )
+    columns = ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
+               "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
+    rows = []
     for tr in trials:
         if tr.flagged:
-            table.add_row(tr.trial, tr.seed, True, 0, None, None, None, None, None, None)
+            rows.append([tr.trial, tr.seed, True, 0, None, None, None, None, None, None])
             continue
-        for ell, rep in sorted(tr.reports.items()):
-            table.add_row(
-                tr.trial, tr.seed, False, tr.l1_size, ell, rep.subset_size,
-                rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled,
-            )
+        rows.extend(
+            [tr.trial, tr.seed, False, tr.l1_size, ell, rep.subset_size,
+             rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled]
+            for ell, rep in sorted(tr.reports.items())
+        )
     flagged = sum(tr.flagged for tr in trials)
     notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
-    return _render_table(table, args), notes + _advisory_notes(cfg, [cfg.regime])
+    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, [cfg.regime])
 
 
 _HANDLERS = {

@@ -40,8 +40,8 @@ class JSetUnionFind:
 
     The labels are always fully compressed: every j-set points straight at
     the smallest rank of its component, and they are the whole per-j-set
-    state: component sizes, isolated j-sets (the singletons) and
-    connectivity all come from them.  ``apply_ranks`` merges with the one
+    state: ``summary``, ``largest_component_ranks``, ``partition`` and
+    ``find`` read them.  ``apply_ranks`` merges with the one
     kernel, ``merge_ranks``; ``apply_edge`` ranks one edge and calls it.
     Single-writer: no concurrent mutation.
     """
@@ -51,19 +51,6 @@ class JSetUnionFind:
         self.params = params
         self._labels = np.arange(params.num_jsets, dtype=np.int64)
         self._edges_applied = 0
-
-    @property
-    def num_sets_remaining(self) -> int:
-        """The number of sets, counted as their roots: each root is its own label."""
-        return int(np.count_nonzero(self._labels == np.arange(len(self._labels))))
-
-    @property
-    def edges_applied(self) -> int:
-        return self._edges_applied
-
-    @property
-    def is_j_connected(self) -> bool:
-        return not np.count_nonzero(self._labels)  # one set: every label is rank 0
 
     def find(self, rank: int) -> int:
         """The smallest rank in the component of `rank`."""
@@ -271,7 +258,7 @@ def bfs_explore(
     j, n = h.params.j, h.params.n
     start = validate_subset(start, j, n, "j-set")
     if max_generations is not None and max_generations < 0:
-        raise ValueError(f"max_generations must be >= 0, got {max_generations}")
+        raise ValidationError(f"max_generations must be >= 0, got {max_generations}")
 
     edge_jsets = [list(combinations(e, j)) for e in h.edges]
     index: dict[JSet, list[int]] = {}

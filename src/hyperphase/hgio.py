@@ -1,4 +1,4 @@
-"""Hypergraph edge-list files, experiment configs, and result tables.
+"""Hypergraph edge-list files, experiment configs, and result rows.
 
 Edge-list format (UTF-8, LF):
 
@@ -21,7 +21,7 @@ mirrors the CSV columns, one object per row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 from .analysis import RegimeParams
 from .combinatorics import validate_subset
@@ -86,32 +86,6 @@ def _parse_int(token: str, lineno: int) -> int:
         raise ParseError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
-@dataclass
-class ResultTable:
-    """Rectangular table of typed cells (int/float/bool/str, None for
-    missing); one row per trial or per sweep point."""
-
-    columns: list[str]
-    rows: list[list[object]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(set(self.columns)) != len(self.columns):
-            raise ConfigError(f"duplicate column names in {self.columns}")
-        for row in self.rows:
-            self._check_width(row)
-
-    def _check_width(self, row: list[object]) -> None:
-        if len(row) != len(self.columns):
-            raise ConfigError(
-                f"row width {len(row)} does not match {len(self.columns)} columns"
-            )
-
-    def add_row(self, *cells: object) -> None:
-        row = list(cells)
-        self._check_width(row)
-        self.rows.append(row)
-
-
 def _format_cell(value: object) -> str:
     if value is None:
         return ""
@@ -127,17 +101,27 @@ def _format_cell(value: object) -> str:
     return text
 
 
-def write_csv(table: ResultTable) -> str:
+def _check_shape(columns: list[str], rows: list[list[object]]) -> None:
+    """Refuse duplicate column names and a row of the wrong width."""
+    if len(set(columns)) != len(columns):
+        raise ConfigError(f"duplicate column names in {columns}")
+    for row in rows:
+        if len(row) != len(columns):
+            raise ConfigError(f"row width {len(row)} does not match {len(columns)} columns")
+
+
+def write_csv(columns: list[str], rows: list[list[object]]) -> str:
     """CSV with a header row, cells formatted per the module contract."""
-    lines = [",".join(_format_cell(c) for c in table.columns)]
-    lines.extend(",".join(_format_cell(c) for c in row) for row in table.rows)
+    _check_shape(columns, rows)
+    lines = [",".join(_format_cell(c) for c in columns)]
+    lines.extend(",".join(_format_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def write_json(table: ResultTable) -> str:
-    """The same table as a JSON list, one object per row."""
-    objs = [dict(zip(table.columns, row)) for row in table.rows]
-    return json.dumps(objs, indent=2) + "\n"
+def write_json(columns: list[str], rows: list[list[object]]) -> str:
+    """The same rows as a JSON list, one object per row."""
+    _check_shape(columns, rows)
+    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
 
 
 def _comma_list(item):

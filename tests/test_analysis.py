@@ -90,6 +90,14 @@ def test_poisson_limit_rate_examples():
     assert poisson_limit_rate(Params(3, 2, 10), 1, 0.0) == pytest.approx(1.0)
 
 
+def test_degree_formulas_refuse_negative_inputs():
+    for formula in (poisson_limit_rate, degree_regime_p):
+        with pytest.raises(ValidationError, match="degree class s must be >= 0, got -1"):
+            formula(Params(3, 2, 10), -1, 0.0)
+    with pytest.raises(ValidationError, match="Poisson rate must be >= 0, got -0.5"):
+        poisson_pmf(-0.5, 0)
+
+
 def test_degree_regime_p_examples():
     p = degree_regime_p(Params(3, 1, 100), 0, 0.0)
     assert p == pytest.approx(math.log(100) / 4950, rel=1e-12)

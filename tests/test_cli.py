@@ -424,6 +424,41 @@ def test_exit_code_overflow(tmp_path, capsys):
     assert code == 2 and "exceeds" in err
 
 
+# argv (with {cfg} and {hg} for the files below), config text, edge-list
+# text, and the one stderr line each refusal prints with exit code 1
+REFUSALS = {
+    "connprobe-omega-0": (["connprobe", "--config", "{cfg}"], "k=3\nj=2\nn=10\nomega=0\n", "",
+                          "omega must be positive, got 0.0"),
+    "smooth-gamma-0": (["smooth", "--config", "{cfg}"], "k=3\nj=2\nn=10\ngamma=0\n", "",
+                       "gamma must be positive, got 0.0"),
+    "components-negative-m": (["components", "{hg}", "--j", "2"], "", "3 4 -1\n",
+                              "line 1: edge count m must be >= 0, got -1"),
+    "components-short-edge": (["components", "{hg}", "--j", "2"], "", "3 4 1\n1 2\n",
+                              "line 2: expected 3 vertices, got 2"),
+    "explore-bad-start": (["explore", "{hg}", "--start", "1,x"], "", TWO_EDGE_FILE,
+                          "--start must be comma-separated integers, got '1,x'"),
+    "explore-negative-max-gens": (["explore", "{hg}", "--start", "1,2", "--max-gens", "-1"], "", TWO_EDGE_FILE,
+                                  "max_generations must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_name_the_fault(case, tmp_path, capsys):
+    argv, config, edges, message = REFUSALS[case]
+    cfg, hg = tmp_path / "c.txt", tmp_path / "in.hg"
+    cfg.write_text(config, encoding="utf-8")
+    hg.write_text(edges, encoding="utf-8")
+    argv = [a.format(cfg=cfg, hg=hg) for a in argv]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+def test_thresholds_csv_is_one_row(capsys, config_100):
+    code, out, err = run(capsys, ["thresholds", "--config", str(config_100), "--format", "csv"])
+    header, row = out.splitlines()
+    assert (code, err, header) == (0, "", "p_g,p_c")
+    assert [float(x) for x in row.split(",")] == [0.005, 2 * math.log(100) / 100]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("3 4 1\n3 2 1\n", encoding="utf-8")

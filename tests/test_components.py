@@ -50,10 +50,16 @@ def partition_of(uf, params):
     )
 
 
+def num_sets(uf):
+    """The union-find's set count, read off its census."""
+    s = uf.summary()
+    return s.num_nontrivial + s.isolated_count
+
+
 def test_dsu_new_sizes():
-    assert JSetUnionFind(Params(3, 2, 4)).num_sets_remaining == 6
-    assert JSetUnionFind(Params(3, 1, 10)).num_sets_remaining == 10
-    assert JSetUnionFind(Params(4, 3, 10)).num_sets_remaining == binomial(10, 3)
+    assert num_sets(JSetUnionFind(Params(3, 2, 4))) == 6
+    assert num_sets(JSetUnionFind(Params(3, 1, 10))) == 10
+    assert num_sets(JSetUnionFind(Params(4, 3, 10))) == binomial(10, 3)
 
 
 def test_dsu_guardrail(monkeypatch):
@@ -137,7 +143,7 @@ def test_apply_edge_merges_and_is_idempotent():
     uf = JSetUnionFind(Params(3, 2, 4))
     assert uf.apply_edge((1, 2, 3)) == 2
     assert uf.apply_edge((1, 2, 3)) == 0
-    assert uf.edges_applied == 2
+    assert uf.summary().m == 2
     assert uf.summary().isolated_count == 3
     assert uf.apply_edge((2, 3, 4)) == 2
     params = Params(3, 2, 4)
@@ -164,7 +170,7 @@ def test_apply_edge_validates():
     for bad in ((1.5, 2, 3), (1.0, 2.0, 3.0), (1, 2, "3")):  # no rounding to (1, 2, 3)
         with pytest.raises(ValidationError, match="vertices must be integers"):
             uf.apply_edge(bad)
-    assert uf.edges_applied == 0 and uf.num_sets_remaining == 6
+    assert uf.summary().m == 0 and num_sets(uf) == 6
     assert uf.apply_edge((np.int64(1), 2, np.int32(3))) == 2
 
 
@@ -176,8 +182,8 @@ def test_apply_edge_walk_keeps_the_set_count(params):
     for edge in islice(process_stream(params, 3), 150):
         edges.append(edge)
         unions += uf.apply_edge(edge)
-        remaining = int(np.count_nonzero(np.bincount(uf._labels)))
-        assert uf.num_sets_remaining == remaining == params.num_jsets - unions
+        roots = int(np.count_nonzero(uf._labels == np.arange(params.num_jsets)))  # each root is its own label
+        assert num_sets(uf) == roots == params.num_jsets - unions
     assert uf.summary() == component_summary(Hypergraph(params, tuple(edges)))
 
 
@@ -185,6 +191,12 @@ def test_bfs_explore_rejects_non_integer_start():
     h = Hypergraph(Params(3, 2, 4), ((1, 2, 3),))
     with pytest.raises(ValidationError, match="vertices must be integers"):
         bfs_explore(h, (1.5, 2))
+
+
+def test_bfs_explore_rejects_negative_max_generations():
+    h = Hypergraph(Params(3, 2, 4), ((1, 2, 3),))
+    with pytest.raises(ValidationError, match="max_generations must be >= 0, got -1"):
+        bfs_explore(h, (1, 2), -1)
 
 
 def test_summary_single_edge_connects_when_n_equals_k():
@@ -313,9 +325,9 @@ def apply_in_mode(uf, h, mode):
     half = h.m // 2
 
     def batch(rows, layout=np.asarray):  # unions from the set counts: apply_ranks returns none
-        before = uf.num_sets_remaining
+        before = num_sets(uf)
         uf.apply_ranks(layout(jset_rank_array(rows, h.params.j, h.params.n)))
-        return before - uf.num_sets_remaining
+        return before - num_sets(uf)
 
     if mode == "apply_edge":
         return sum(uf.apply_edge(e) for e in h.edges)
@@ -341,7 +353,7 @@ def test_dsu_equals_bfs_oracle(mode, h):
         column_major = JSetUnionFind(h.params)
         apply_in_mode(column_major, h, "apply_ranks")
         assert np.array_equal(uf._labels, column_major._labels)
-        assert uf.num_sets_remaining == column_major.num_sets_remaining
+        assert num_sets(uf) == num_sets(column_major)
         assert not h.array.flags.writeable  # h came from Hypergraph.from_ranks
         assert np.array_equal(h.array, Hypergraph(h.params, h.edges).array)
     oracle = sorted(bfs_components(h), key=lambda c: sorted(c))
@@ -349,8 +361,8 @@ def test_dsu_equals_bfs_oracle(mode, h):
     parts = uf.partition()
     assert all(uf.find(r) == min(c) for c in parts for r in c)  # every label is its part's smallest rank
     assert [min(c) for c in parts] == sorted(min(c) for c in parts)
-    assert unions == h.params.num_jsets - uf.num_sets_remaining
-    assert uf.edges_applied == h.m
+    assert unions == h.params.num_jsets - num_sets(uf)
+    assert uf.summary().m == h.m
     sizes = sorted(map(len, oracle), reverse=True) + [0, 0]
     s = uf.summary()
     assert (s.largest, s.second, s.num_nontrivial) == (sizes[0], sizes[1], len(oracle))
@@ -391,7 +403,7 @@ def test_conservation_and_connectivity_iff(h):
         uf.apply_edge(e)
     sizes = [len(c) for c in uf.partition()]
     assert s.isolated_count + sum(sizes) == h.params.num_jsets
-    assert s.is_j_connected == (uf.num_sets_remaining == 1) == (s.largest == h.params.num_jsets)
+    assert s.is_j_connected == (num_sets(uf) == 1) == (s.largest == h.params.num_jsets)
 
 
 @given(small_instances(), st.randoms(use_true_random=False))
@@ -415,14 +427,14 @@ def test_monotonicity_along_stream():
     edges = list(combinations(range(1, 9), 3))
     rng.shuffle(edges)
     uf = JSetUnionFind(params)
-    prev_sets = uf.num_sets_remaining
+    prev_sets = num_sets(uf)
     prev_largest = 0
     for e in edges[:30]:
         uf.apply_edge(e)
         s = uf.summary()
-        assert uf.num_sets_remaining <= prev_sets
+        assert num_sets(uf) <= prev_sets
         assert s.largest >= prev_largest
-        prev_sets, prev_largest = uf.num_sets_remaining, s.largest
+        prev_sets, prev_largest = num_sets(uf), s.largest
 
 
 def test_largest_component_tie_breaks_to_smallest_rank():

@@ -228,7 +228,7 @@ def per_edge_hitting_time(cfg):
             touched.update(colex_rank(s) for s in combinations(edge, params.j))
             if t_i == 0 and len(touched) == params.num_jsets:
                 t_i = step
-            if uf.is_j_connected:
+            if uf.summary().is_j_connected:
                 break
         else:
             raise RuntimeError("process exhausted before j-connectivity")

@@ -8,7 +8,6 @@ from hyperphase.combinatorics import binomial, colex_unrank
 from hyperphase.errors import ConfigError, ParseError, ValidationError
 from hyperphase.experiments import ExperimentConfig
 from hyperphase.hgio import (
-    ResultTable,
     parse_config,
     parse_hypergraph,
     write_csv,
@@ -104,43 +103,38 @@ def test_round_trip_identity(h):
 
 
 def test_csv_one_row_example():
-    table = ResultTable(["trial", "largest"], [[1, 3]])
-    assert write_csv(table) == "trial,largest\n1,3\n"
+    assert write_csv(["trial", "largest"], [[1, 3]]) == "trial,largest\n1,3\n"
 
 
 def test_csv_empty_table_is_header_only():
-    assert write_csv(ResultTable(["a", "b"])) == "a,b\n"
+    assert write_csv(["a", "b"], []) == "a,b\n"
 
 
 def test_csv_real_round_trip():
-    table = ResultTable(["x"], [[0.1], [1 / 3], [1e-17]])
-    lines = write_csv(table).strip().split("\n")[1:]
+    lines = write_csv(["x"], [[0.1], [1 / 3], [1e-17]]).strip().split("\n")[1:]
     assert [float(s) for s in lines] == [0.1, 1 / 3, 1e-17]
 
 
 def test_csv_booleans_and_none():
-    table = ResultTable(["ok", "note"], [[True, None], [False, "x"]])
-    assert write_csv(table) == "ok,note\ntrue,\nfalse,x\n"
+    assert write_csv(["ok", "note"], [[True, None], [False, "x"]]) == "ok,note\ntrue,\nfalse,x\n"
 
 
 def test_csv_quotes_when_needed():
-    table = ResultTable(["s"], [['a,"b"']])
-    assert write_csv(table) == 's\n"a,""b"""\n'
+    assert write_csv(["s"], [['a,"b"']]) == 's\n"a,""b"""\n'
 
 
 def test_json_mirrors_columns():
     import json
 
-    table = ResultTable(["trial", "frac"], [[1, 0.5]])
-    assert json.loads(write_json(table)) == [{"trial": 1, "frac": 0.5}]
+    assert json.loads(write_json(["trial", "frac"], [[1, 0.5]])) == [{"trial": 1, "frac": 0.5}]
 
 
 def test_table_shape_validation():
-    with pytest.raises(ConfigError):
-        ResultTable(["a", "a"])
-    table = ResultTable(["a", "b"])
-    with pytest.raises(ConfigError):
-        table.add_row(1)
+    for write in (write_csv, write_json):
+        with pytest.raises(ConfigError, match=r"duplicate column names in \['a', 'a'\]"):
+            write(["a", "a"], [])
+        with pytest.raises(ConfigError, match="row width 1 does not match 2 columns"):
+            write(["a", "b"], [[1, 2], [1]])
 
 
 def test_parse_config_sweep_with_defaults():

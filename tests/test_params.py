@@ -35,7 +35,8 @@ def test_guardrail_env_override(monkeypatch):
     with pytest.raises(ResourceLimitError, match=r"C\(n=10, j=2\) = 45 exceeds the guardrail cap 10"):
         JSetUnionFind(params)
     monkeypatch.setenv(MAX_JSETS_ENV, "45")
-    assert JSetUnionFind(params).num_sets_remaining == 45
+    s = JSetUnionFind(params).summary()
+    assert s.num_nontrivial + s.isolated_count == 45
 
 
 def test_guardrail_env_must_be_positive_int(monkeypatch):

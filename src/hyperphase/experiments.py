@@ -4,14 +4,16 @@ Every runner is a pure function of its ExperimentConfig: trial t uses the
 generator seeded with ``trial_seed(base_seed, t)``, the seed is recorded in
 the trial's row, and a re-run reproduces every record bit for bit.  Trials
 are independent; ``hitting`` and ``degrees`` reduce batches of them over
-shared arrays (``_batch_jset_ranks``: one unrank and one j-rank pass, trial
-b's j-sets offset by b * C(n, j)), and their records equal one-trial runs.
+shared arrays (``_batch_jset_ranks``: one gather from a cached edge-to-j-set
+table at small C(n, k), else one unrank and one j-rank pass, trial b's
+j-sets offset by b * C(n, j)), and their records equal one-trial runs.
 ``sweep``, ``connprobe`` and ``smooth`` share one driver (``_static_censuses``):
 a trial's points, all on its seed, grow union-finds off one rank draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
@@ -31,7 +33,7 @@ from .analysis import (
     smoothness_score,
     thresholds,
 )
-from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array
+from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
 from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
@@ -40,6 +42,8 @@ from .models import _binomial_count, _binomial_draw, _binomial_ranks, _distinct_
 from .models import first_distinct_ranks, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
+
+_TABLE_RANKS = 2**14  # largest edge-to-j-set table; C(n, j) <= its C(n, k) * C(k, j) entries fit int16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -274,15 +278,15 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
 
 def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[int, int] | None]:
     """(T_c, T_i) from the first `count` edges of the process on each seed,
-    or None where they are not j-connected.  The prefixes are unranked and
-    j-ranked in one pass (``_batch_jset_ranks``), so one first touch and one
-    label array serve the batch.  T_i is one past a trial's last first touch
-    of a j-set; an isolated j-set keeps the first T_i - 1 edges split, so
-    one ``merge_ranks`` call takes each trial's first T_i rows (j-connected
-    there w.h.p., by the hitting-time theorem), and each later call one
-    more row of every trial still split.  The labels
-    (B * C(n, j)) and ranks (B * count * C(k, j)) never pass the larger of
-    one trial's arrays and ``components._BATCH_RANKS``."""
+    or None where they are not j-connected.  The prefixes are j-ranked in
+    one ``_batch_jset_ranks`` call (a table gather at small C(n, k)), so
+    one first touch and one label array serve the batch.  T_i is one past
+    a trial's last first touch of a j-set; an isolated j-set keeps the
+    first T_i - 1 edges split, so one ``merge_ranks`` call takes each
+    trial's first T_i rows (j-connected there w.h.p., by the hitting-time
+    theorem), and each later call one more row of every trial still split.
+    The labels (B * C(n, j)) and ranks (B * count * C(k, j)) never pass the
+    larger of one trial's arrays and ``components._BATCH_RANKS``."""
     check_cap("edge count m", count)
     batch, size = len(seeds), params.num_jsets
     base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
@@ -308,13 +312,25 @@ def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[i
 
 def _batch_jset_ranks(params: Params, trials: list[np.ndarray]) -> np.ndarray:
     """The j-set ranks of a batch of trials' edges, given as colex rank
-    arrays: one unrank and one j-rank pass over their concatenation, trial
-    b's j-set r shifted to b * C(n, j) + r.  Row i of the C-contiguous
-    (C(k, j), total edges) result holds every edge's i-th j-subset."""
-    edges = colex_unrank_array(np.concatenate(trials), params.k, params.n)
-    ranks = jset_rank_array(edges, params.j, params.n).T
+    arrays: one column gather from ``_jset_table`` when its C(n, k) * C(k, j)
+    entries fit min(``_TABLE_RANKS``, cap), else one unrank and one j-rank
+    pass.  Trial b's j-set r is shifted to b * C(n, j) + r, and row i of the
+    C-contiguous (C(k, j), total edges) result holds every edge's i-th one."""
+    drawn = np.concatenate(trials)
+    if params.num_ksets * params.jsets_per_edge <= min(_TABLE_RANKS, max_jsets_cap()):
+        ranks = _jset_table(params.k, params.j, params.n).take(drawn, axis=1).astype(np.int64)
+    else:
+        ranks = jset_rank_array(colex_unrank_array(drawn, params.k, params.n), params.j, params.n).T
     ranks += np.repeat(np.arange(len(trials)) * params.num_jsets, [len(r) for r in trials])
     return ranks
+
+
+@functools.lru_cache(maxsize=2)
+def _jset_table(k: int, j: int, n: int) -> np.ndarray:
+    """Read-only (C(k, j), C(n, k)) int16 array: column r is edge r's j-set ranks."""
+    table = jset_rank_array(colex_unrank_array(np.arange(binomial(n, k)), k, n), j, n).T.astype(np.int16)
+    table.flags.writeable = False
+    return table
 
 
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:

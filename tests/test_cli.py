@@ -343,6 +343,28 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
     assert code == 2 and "edge count m = 65 exceeds the guardrail cap 50" in err and out == ""
 
 
+def test_hitting_table_keeps_the_guardrail(tmp_path, capsys, monkeypatch):
+    # (2,1,50): a trial's first prefix is 173 edges, 346 j-set ranks, and the
+    # edge-to-j-set table C(50, 2) * 2 = 2,450 entries.  A cap between the two
+    # keeps the kernels and the uncapped records; one below a trial refuses
+    # as it did before the table
+    path = tmp_path / "c.txt"
+    path.write_text("k=2\nj=1\nn=50\ntrials=150\n", encoding="utf-8")
+    argv = ["hitting", "--config", str(path), "--seed", "1"]
+    code, uncapped, _ = run(capsys, argv)
+    assert code == 0 and uncapped
+
+    def no_table(*key):
+        raise AssertionError("a table past the cap must not be built")
+
+    monkeypatch.setattr(hyperphase.experiments, "_jset_table", no_table)
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "1000")
+    assert run(capsys, argv)[:2] == (0, uncapped)
+    monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "300")
+    assert run(capsys, argv) == (2, "", "error: j-set rank count m * C(k=2, j=1) = 346 exceeds the guardrail cap 300 "
+                                        "(override with HYPERPHASE_MAX_JSETS)\n")
+
+
 def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
     # degrees batches its trials under min(_BATCH_RANKS, cap) j-set ranks, one
     # trial at least: a cap that fits every trial but not a full batch gives

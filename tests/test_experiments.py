@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import random
 import statistics
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
 
 from hyperphase import analysis, components, experiments, models
 from hyperphase.analysis import RegimeParams, degree_profile, thresholds
-from hyperphase.combinatorics import colex_rank, colex_unrank_array
+from hyperphase.combinatorics import colex_rank, colex_unrank, colex_unrank_array, jset_rank_array
 from hyperphase.components import JSetUnionFind, component_summary, largest_component_jsets
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.experiments import (
@@ -22,7 +23,7 @@ from hyperphase.experiments import (
     run_smoothness_probe,
     tv_to_poisson,
 )
-from hyperphase.models import Hypergraph, process_stream, sample_binomial
+from hyperphase.models import Hypergraph, first_distinct_ranks, process_stream, sample_binomial
 from hyperphase.params import Params
 
 
@@ -280,19 +281,50 @@ def test_hitting_matches_per_edge_walk(monkeypatch):
     assert max(gaps) >= 3  # T_c > T_i + 2 merges several edges forward from T_i
 
 
+def spy_table(monkeypatch):
+    """Clear ``_jset_table``'s cache, so a build ranks through whatever
+    kernels are spied, and record the columns of every gather from it."""
+    gathered, table = [], experiments._jset_table
+    table.cache_clear()
+
+    class Gather:
+        def __init__(self, key):
+            self.table = table(*key)
+
+        def take(self, drawn, axis):
+            gathered.append(len(drawn))
+            return self.table.take(drawn, axis=axis)
+
+    monkeypatch.setattr(experiments, "_jset_table", lambda *key: Gather(key))
+    return gathered
+
+
 def test_hitting_ranks_each_prefix_once(monkeypatch):
-    batches, ranked = spy_batches(monkeypatch), []
-    rank_array = experiments.jset_rank_array
+    # a budget of 0 keeps the kernels: one unrank and one j-rank pass per
+    # batch; at _TABLE_RANKS the C(20, 2) * 2 = 380 entries are admitted: one
+    # table build, then one gather per batch
+    cfg = ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11)
+    rank_array, records = experiments.jset_rank_array, []
+    for budget in (0, experiments._TABLE_RANKS):
+        monkeypatch.setattr(experiments, "_TABLE_RANKS", budget)
+        batches, ranked, gathered = spy_batches(monkeypatch), [], spy_table(monkeypatch)
 
-    def spy_rank(*args):
-        ranked.append(args[0].shape[0])
-        return rank_array(*args)
+        def spy_rank(*args):
+            ranked.append(args[0].shape[0])
+            return rank_array(*args)
 
-    monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
-    monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # a component_summary census would rank here
-    run_hitting_time(ExperimentConfig(params=Params(2, 1, 20), trials=15, base_seed=11))
-    assert [(trials, count) for trials, count, _ in batches] == [(15, 60), (1, 120)]  # trial 5 redrawn
-    assert ranked == [trials * count for trials, count, _ in batches]  # one pass per batch
+        monkeypatch.setattr(experiments, "jset_rank_array", spy_rank)
+        monkeypatch.setattr(components, "jset_rank_array", spy_rank)  # a component_summary census would rank here
+        records.append(run_hitting_time(cfg))
+        monkeypatch.undo()
+        assert [(trials, count) for trials, count, _ in batches] == [(15, 60), (1, 120)]  # trial 5 redrawn
+        if budget:
+            assert ranked == [cfg.params.num_ksets]  # the table's build
+            assert gathered == [trials * count for trials, count, _ in batches]  # one gather per batch
+        else:
+            assert ranked == [trials * count for trials, count, _ in batches]  # one pass per batch
+            assert gathered == []
+    assert records[1] == records[0]
 
 
 def test_hitting_merges_one_label_array_per_batch(monkeypatch):
@@ -409,12 +441,19 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
     ]
     assert [row.count for row in single] == expected
     # one trial per batch, a few (1 to 18 here, by edge count), the whole run
-    # in one batch, and pairs when B * C(n, j) may not pass 3 * C(n, j) - 1
-    for budget, shape in ((1, "one"), (2500, "several"), (10**12, "whole"), (10**12, "pairs")):
+    # in one batch, and pairs when B * C(n, j) may not pass 3 * C(n, j) - 1;
+    # each with the kernels (a table budget of 0) and then at _TABLE_RANKS,
+    # which admits every case's table but (3,1,40)'s 29,640 entries
+    admitted = params.num_ksets * params.jsets_per_edge <= experiments._TABLE_RANKS
+    kernel = {}
+    shapes = ((1, "one"), (2500, "several"), (10**12, "whole"), (10**12, "pairs"))
+    for table, (budget, shape) in product((0, experiments._TABLE_RANKS), shapes):
         monkeypatch.setattr(components, "_BATCH_RANKS", budget)
+        monkeypatch.setattr(experiments, "_TABLE_RANKS", table)
         if shape == "pairs":  # stands in for int64, which no instance small enough to run here reaches
             monkeypatch.setattr(experiments, "INT64_MAX", 3 * params.num_jsets - 1)
         batches, ranked = spy_degree_batches(monkeypatch)
+        gathered = spy_table(monkeypatch)
         res = run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=trials, base_seed=base))
         monkeypatch.undo()
         assert [row.count for row in res.trials] == expected
@@ -431,7 +470,40 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
             assert batches == [2] * (trials // 2)
         # one unrank and one j-rank pass per batch, over every edge of its trials
         ends = accumulate(batches)
-        assert ranked == [sum(h.m for h in samples[end - size:end]) for end, size in zip(ends, batches)]
+        edges = [sum(h.m for h in samples[end - size:end]) for end, size in zip(ends, batches)]
+        if table and admitted:  # or one table build, then one gather per batch
+            assert ranked == [params.num_ksets] and gathered == edges
+            assert res == kernel[shape]
+        else:
+            assert ranked == edges and gathered == []
+            kernel[shape] = res
+
+
+def test_jset_table_equals_colex_rank_within_its_budgets(monkeypatch):
+    for k in range(2, 6):
+        for j, n in product(range(1, k), range(k, 13)):
+            assert math.comb(n, k) * math.comb(k, j) <= experiments._TABLE_RANKS  # every one is admitted
+            table = experiments._jset_table(k, j, n)
+            assert table.dtype == np.int16 and table.shape == (math.comb(k, j), math.comb(n, k))
+            for r in range(math.comb(n, k)):
+                assert table[:, r].tolist() == [colex_rank(s) for s in combinations(colex_unrank(r, k, n), j)]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    # a batch equals the kernels' at every budget, and the table is built
+    # only when its 660 entries fit both _TABLE_RANKS and the cap
+    params = Params(3, 2, 12)
+    trials = [first_distinct_ranks(random.Random(seed), params.num_ksets, 40) for seed in (1, 2)]
+    edges = colex_unrank_array(np.concatenate(trials), params.k, params.n)
+    expected = jset_rank_array(edges, params.j, params.n).T + np.repeat([0, params.num_jsets], 40)
+    for budget, cap, built in ((660, None, 1), (659, None, 0), (2**14, "659", 0), (2**14, "660", 1)):
+        monkeypatch.setattr(experiments, "_TABLE_RANKS", budget)
+        if cap:
+            monkeypatch.setenv("HYPERPHASE_MAX_JSETS", cap)
+        experiments._jset_table.cache_clear()
+        ranks = experiments._batch_jset_ranks(params, trials)
+        assert experiments._jset_table.cache_info().currsize == built
+        assert ranks.dtype == np.int64 and ranks.flags.c_contiguous and np.array_equal(ranks, expected)
+        monkeypatch.undo()
 
 
 def test_tv_to_poisson_degenerate():

@@ -54,8 +54,6 @@ class RegimeParams:
 class DegreeProfile:
     """counts[s] = number of j-sets contained in exactly s edges."""
 
-    params: Params
-    m: int
     counts: dict[int, int]
 
     def count(self, s: int) -> int:
@@ -66,8 +64,6 @@ class DegreeProfile:
 class SmoothnessReport:
     """How evenly a family of j-sets covers the ell-sets of [n]."""
 
-    ell: int
-    subset_size: int
     expected_per_ellset: float
     max_rel_dev: float
     mean_rel_dev: float
@@ -79,12 +75,12 @@ class GWResult:
     """Survival of the Poisson-batch branching approximation.
 
     offspring_rate is the mean number of fresh edges seen from one j-set;
-    each such edge contributes `batch` = C(k,j) - 1 new j-sets.
+    each such edge contributes `batch` = C(k,j) - 1 new j-sets, so the mean
+    offspring is batch * offspring_rate.
     """
 
     offspring_rate: float
     batch: int
-    mean_offspring: float
     survival: float
     iterations: int
 
@@ -115,7 +111,7 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     hist = np.bincount(deg, minlength=1)
     hist[0] = params.num_jsets - len(deg)
     counts = {s: c for s, c in enumerate(hist.tolist()) if c}
-    return DegreeProfile(params=params, m=h.m, counts=counts)
+    return DegreeProfile(counts)
 
 
 def poisson_limit_rate(params: Params, s: int, c: float) -> float:
@@ -194,8 +190,6 @@ def smoothness_score(
         degs = np.where(ranks[at] == picked_ranks, counts[at], 0)
     devs = np.abs(degs / expected - 1.0).tolist()
     return SmoothnessReport(
-        ell=ell,
-        subset_size=len(family),
         expected_per_ellset=expected,
         max_rel_dev=max(devs),
         mean_rel_dev=sum(devs) / len(devs),
@@ -220,16 +214,15 @@ def gw_survival(params: Params, p: float) -> GWResult:
         raise ValidationError(f"p={p} outside [0, 1]")
     lam = math.comb(params.n, params.k - params.j) * p  # exact integers: no 64-bit cap
     batch = math.comb(params.k, params.j) - 1
-    mean_offspring = batch * lam
-    if mean_offspring <= 1.0:
-        return GWResult(lam, batch, mean_offspring, 0.0, 0)
+    if batch * lam <= 1.0:
+        return GWResult(lam, batch, 0.0, 0)
     s = -math.expm1(-lam)
     for iteration in range(1, GW_MAX_ITERATIONS + 1):
         e = lam * math.expm1(batch * math.log1p(-s) if s < 1.0 else -math.inf)  # log(1 - F(s))
         slope = math.exp(e) * lam * batch * (1.0 - s) ** (batch - 1)  # F'(s)
         s_next = s - (-math.expm1(e) - s) / (slope - 1.0)
         if s - s_next <= GW_TOL * s_next:  # or rounding stopped the descent
-            return GWResult(lam, batch, mean_offspring, max(s_next, 0.0), iteration)
+            return GWResult(lam, batch, max(s_next, 0.0), iteration)
         s = s_next
     raise ConvergenceError(
         f"survival root did not converge after {GW_MAX_ITERATIONS} Newton steps "

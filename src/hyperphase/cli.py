@@ -145,7 +145,7 @@ def _cmd_gw(args) -> tuple[str, list[str]]:
         "p": p,
         "offspring_rate": res.offspring_rate,
         "batch": res.batch,
-        "mean_offspring": res.mean_offspring,
+        "mean_offspring": res.batch * res.offspring_rate,
         "survival": res.survival,
         "iterations": res.iterations,
     }
@@ -180,7 +180,7 @@ def _cmd_components(args) -> tuple[str, list[str]]:
         "k": h.params.k,
         "j": h.params.j,
         "n": h.params.n,
-        "m": s.m,
+        "m": h.m,
         "largest": s.largest,
         "second": s.second,
         "num_nontrivial": s.num_nontrivial,
@@ -202,7 +202,7 @@ def _cmd_explore(args) -> tuple[str, list[str]]:
     record = {
         "start": list(record_obj.start),
         "generations": [[list(s) for s in gen] for gen in record_obj.generations],
-        "boundary": [list(s) for s in record_obj.boundary],
+        "boundary": [list(s) for s in record_obj.generations[-1]],
         "exhausted": record_obj.exhausted,
     }
     return json.dumps(record, indent=2) + "\n", []
@@ -235,8 +235,8 @@ def _cmd_hitting(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     records = run_hitting_time(cfg)
     columns = ["trial", "seed", "T_c", "T_i", "equal"]
-    rows = [[r.trial, r.seed, r.t_c, r.t_i, r.equal] for r in records]
-    frac = sum(r.equal for r in records) / len(records)
+    rows = [[r.trial, r.seed, r.t_c, r.t_i, r.t_c == r.t_i] for r in records]
+    frac = sum(r.t_c == r.t_i for r in records) / len(records)
     return _render_rows(columns, rows, args), [f"T_c == T_i in {frac:.1%} of {len(records)} runs"]
 
 
@@ -273,15 +273,15 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
                "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
     rows = []
     for tr in trials:
-        if tr.flagged:
+        if not tr.l1_size:  # flagged: the draw had no edges
             rows.append([tr.trial, tr.seed, True, 0, None, None, None, None, None, None])
             continue
         rows.extend(
-            [tr.trial, tr.seed, False, tr.l1_size, ell, rep.subset_size,
+            [tr.trial, tr.seed, False, tr.l1_size, ell, tr.l1_size,
              rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled]
             for ell, rep in sorted(tr.reports.items())
         )
-    flagged = sum(tr.flagged for tr in trials)
+    flagged = sum(not tr.l1_size for tr in trials)
     notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
     return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, [cfg.regime])
 

@@ -50,7 +50,6 @@ class JSetUnionFind:
         params.check_jsets()
         self.params = params
         self._labels = np.arange(params.num_jsets, dtype=np.int64)
-        self._edges_applied = 0
 
     def find(self, rank: int) -> int:
         """The smallest rank in the component of `rank`."""
@@ -75,7 +74,6 @@ class JSetUnionFind:
         ranks, as ``jset_rank_array`` gives them (unchecked), so that the
         singletons are exactly the isolated j-sets."""
         self._labels = merge_ranks(self._labels, ranks)
-        self._edges_applied += len(ranks)
 
     def partition(self) -> list[frozenset[int]]:
         """Non-trivial components as frozensets of j-set ranks, ordered by
@@ -100,8 +98,6 @@ class JSetUnionFind:
         sizes = np.bincount(self._labels)
         nontrivial = np.sort(sizes[sizes > 1])[::-1].tolist()
         return ComponentSummary(
-            params=self.params,
-            m=self._edges_applied,
             largest=nontrivial[0] if nontrivial else 0,
             second=nontrivial[1] if len(nontrivial) > 1 else 0,
             num_nontrivial=len(nontrivial),
@@ -118,8 +114,6 @@ class ComponentSummary:
     not counted among the non-trivial components.
     """
 
-    params: Params
-    m: int
     largest: int
     second: int
     num_nontrivial: int
@@ -134,11 +128,6 @@ class ExplorationRecord:
     start: JSet
     generations: tuple[tuple[JSet, ...], ...]
     exhausted: bool
-
-    @property
-    def boundary(self) -> tuple[JSet, ...]:
-        """The last generation discovered before the exploration stopped."""
-        return self.generations[-1]
 
 
 def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -76,27 +76,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Stats:
-    """Mean, sample standard deviation (n-1), min, max, median."""
+    """Mean and sample standard deviation (n-1)."""
 
     mean: float
     stddev: float
-    minimum: float
-    maximum: float
-    median: float
 
 
 def aggregate(values: list[float] | tuple[float, ...]) -> Stats:
-    """Standard summary statistics; stddev of a single value is 0."""
+    """Mean and standard deviation; stddev of a single value is 0."""
     if not values:
         raise ValidationError("aggregate needs at least one value")
     vals = [float(v) for v in values]
-    return Stats(
-        mean=statistics.fmean(vals),
-        stddev=statistics.stdev(vals) if len(vals) > 1 else 0.0,
-        minimum=min(vals),
-        maximum=max(vals),
-        median=statistics.median(vals),
-    )
+    return Stats(mean=statistics.fmean(vals), stddev=statistics.stdev(vals) if len(vals) > 1 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,6 @@ class HittingRecord:
     seed: int
     t_c: int
     t_i: int
-    equal: bool
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,6 @@ class DegreeRunResult:
     p: float
     poisson_rate: float
     trials: tuple[DegreeTrial, ...]
-    empirical_pmf: dict[int, float]
     tv_distance: float
     mean_count: float
 
@@ -176,12 +165,12 @@ class ConnectivityProbeResult:
 
 @dataclass(frozen=True)
 class SmoothnessTrial:
-    """Smoothness of the largest component in one draw; flagged when the
-    draw had no edges at all (pathological subcritical sample)."""
+    """Smoothness of the largest component in one draw.  An l1_size of 0
+    means the draw had no edges at all (a pathological subcritical sample),
+    and then there are no reports."""
 
     trial: int
     seed: int
-    flagged: bool
     l1_size: int
     reports: dict[int, SmoothnessReport]
 
@@ -272,8 +261,7 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
             times.update((t, pair) for t, pair in zip(batch, _hitting_times(params, seeds, count)) if pair)
         pending = [t for t in pending if t not in times]
         count = min(2 * count, total)
-    return [HittingRecord(t, trial_seed(cfg.base_seed, t), *times[t], times[t][0] == times[t][1])
-            for t in range(cfg.trials)]
+    return [HittingRecord(t, trial_seed(cfg.base_seed, t), *times[t]) for t in range(cfg.trials)]
 
 
 def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[int, int] | None]:
@@ -359,9 +347,8 @@ def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
             values += _degree_counts(params, batch, s)
             batch, held = [], 0
     rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
-    rate, counts = poisson_limit_rate(params, s, c), Counter(values)
-    empirical = {v: counts[v] / len(values) for v in sorted(counts)}
-    return DegreeRunResult(s, c, p, rate, rows, empirical, tv_to_poisson(values, rate), statistics.fmean(values))
+    rate = poisson_limit_rate(params, s, c)
+    return DegreeRunResult(s, c, p, rate, rows, tv_to_poisson(values, rate), statistics.fmean(values))
 
 
 def _degree_counts(params: Params, batch: list[np.ndarray], s: int) -> list[int]:
@@ -437,10 +424,10 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
 
     def score(uf: JSetUnionFind, seed: int) -> tuple[int, dict[int, SmoothnessReport]]:
         members = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
-        if not len(members):  # no edges: flagged, nothing to score
+        if not len(members):  # no edges: nothing to score
             return 0, {}
         return len(members), {ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed)
                               for ell in cfg.ell_list}
 
     (rows,) = _static_censuses(cfg, [p], [f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]"], score)
-    return [SmoothnessTrial(t, seed, not size, size, reports) for t, seed, (size, reports) in rows]
+    return [SmoothnessTrial(t, seed, size, reports) for t, seed, (size, reports) in rows]

@@ -148,9 +148,7 @@ def smoothness_oracle(members, ell, params, sample_cap=10**6, *, seed=0):
             picked.add(rng.randrange(total_ellsets))
         degs = [coverage.get(colex_unrank(r, ell, n), 0) for r in sorted(picked)]
     devs = [abs(d / expected - 1.0) for d in degs]
-    return SmoothnessReport(
-        ell, len(family), expected, max(devs), sum(devs) / len(devs), total_ellsets > sample_cap
-    )
+    return SmoothnessReport(expected, max(devs), sum(devs) / len(devs), total_ellsets > sample_cap)
 
 
 @given(st.data())
@@ -250,7 +248,7 @@ def test_smoothness_relabeling_invariance(data):
 def test_gw_subcritical_is_zero():
     # batch * lam = 0.9
     res = gw_survival(Params(2, 1, 100), 0.009)
-    assert res.mean_offspring == pytest.approx(0.9)
+    assert res.batch * res.offspring_rate == pytest.approx(0.9)
     assert res.survival == 0.0 and res.iterations == 0
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -600,6 +601,31 @@ GOLDEN_STDOUT = {
         ["smooth", "--config", "{cfg}"],
         "eacce20d7e83e0b18fc1d716895390c7df7e21f09ab6f1eea243d708003fa206",
     ),
+    "smooth-flagged": (  # three of the four trials draw no edges
+        "k=3\nj=2\nn=4\ntrials=4\ngamma=0.5\nell_list=0,1\n",
+        ["smooth", "--config", "{cfg}"],
+        "6c4e738cdfc05667a7b712330a8b6a7aa02a75fc121708e9d93f2ddb18ff04fd",
+    ),
+    "gw": (
+        "k=3\nj=2\nn=20\neps=0.5\n",
+        ["gw", "--config", "{cfg}"],
+        "a6e9fe65302cbfdf18c0c9290416c27dd32efccd3ee082ccec316386b0e4e45d",
+    ),
+    "thresholds": (
+        "k=3\nj=2\nn=20\n",
+        ["thresholds", "--config", "{cfg}"],
+        "5ca184c7538b6e4991cff395342f59dd340da760e9aa1cdb4bb681ca24d7fb67",
+    ),
+    "hitting-json": (
+        "k=3\nj=2\nn=10\ntrials=3\n",
+        ["hitting", "--config", "{cfg}", "--format", "json"],
+        "d88b9ece3737021771dd100b0409e4414e1b0f4857914190a1a663611ad01e9c",
+    ),
+    "hitting-below": (  # T_c > T_i in 3 of the 40 runs
+        "k=2\nj=1\nn=20\ntrials=40\nseed=11\n",
+        ["hitting", "--config", "{cfg}"],
+        "7f22ee5269092f58e7f30212d24ba5d7b5d09fc1233a556ff9b7dd8a2ab07055",
+    ),
 }
 
 
@@ -617,7 +643,74 @@ def test_golden_stdout_bytes(case, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+SWEEP_ADVISORY = "advisory: eps^{} = {} < 100: sweep regime is marginal"
+
+# every stderr line of each experiment case above: its notes, then its advisories
+GOLDEN_STDERR = {
+    "sweep": [
+        "eps=-0.3: mean |L1|/C(n,j) = 0.0439 (std 0.0161, predicted n/a)",
+        "eps=+0.5: mean |L1|/C(n,j) = 0.2491 (std 0.1377, predicted 0.5000)",
+        SWEEP_ADVISORY.format("3 * n^j", "10.8"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "0.402"),
+        SWEEP_ADVISORY.format("3 * n^j", "50"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "1.12"),
+    ],
+    "sweep-dense": [
+        "eps=+3.9: mean |L1|/C(n,j) = 1.0000 (std 0.0000, predicted 7.8000)",
+        "eps=-1: mean |L1|/C(n,j) = 0.0000 (std 0.0000, predicted n/a)",
+        "eps=-0.5: mean |L1|/C(n,j) = 0.2167 (std 0.1933, predicted n/a)",
+        "eps=+1.5: mean |L1|/C(n,j) = 0.9000 (std 0.0861, predicted 3.0000)",
+        "eps=+0.5: mean |L1|/C(n,j) = 0.6167 (std 0.2086, predicted 1.0000)",
+        "eps=+2.5: mean |L1|/C(n,j) = 0.9667 (std 0.0703, predicted 5.0000)",
+        "eps=+1.5: mean |L1|/C(n,j) = 0.9000 (std 0.0861, predicted 3.0000)",
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "37.3"),
+        SWEEP_ADVISORY.format("3 * n^j", "6"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "2.45"),
+        SWEEP_ADVISORY.format("3 * n^j", "0.75"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "0.612"),
+        SWEEP_ADVISORY.format("3 * n^j", "20.2"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "5.51"),
+        SWEEP_ADVISORY.format("3 * n^j", "93.8"),
+        SWEEP_ADVISORY.format("2 * n^(1-2*delta)", "15.3"),
+    ],
+    "hitting-32": ["T_c == T_i in 100.0% of 3 runs"],
+    "hitting-21": ["T_c == T_i in 100.0% of 3 runs"],
+    "hitting-json": ["T_c == T_i in 100.0% of 3 runs"],
+    "hitting-below": ["T_c == T_i in 92.5% of 40 runs"],
+    "degrees": ["s=0 c=0.0: mean D_s = 1.000, TV to Poisson(1.0000) = 0.2482"],
+    "degrees-s1-j2": ["s=1 c=-2.0: mean D_s = 5.800, TV to Poisson(7.3891) = 0.5935"],
+    "connprobe": [
+        "below (p=0.22774): P(j-connected) = 0.00, P(isolated j-set) = 1.00",
+        "above (p=0.49441): P(j-connected) = 1.00, P(isolated j-set) = 0.00",
+    ],
+    "smooth": ["3 trials, 0 flagged (no edges)", "advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal"],
+    "smooth-sampled": [
+        "2 trials, 0 flagged (no edges)",
+        "advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal",
+    ],
+    "smooth-flagged": ["4 trials, 3 flagged (no edges)", "advisory: gamma^3 * n = 0.5 < 100: smoothness regime is marginal"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDERR))
+def test_golden_stderr_lines(case, tmp_path, capsys):
+    config, argv, _ = GOLDEN_STDOUT[case]
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(config, encoding="utf-8")
+    code, _, err = run(capsys, [arg.format(cfg=cfg) for arg in argv])
+    assert code == 0 and err.splitlines() == GOLDEN_STDERR[case]
+
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.txt"))
+
+# the CSV header each experiment subcommand writes
+CONFIG_COLUMNS = {
+    "connprobe": "side,p,trial,seed,is_j_connected,has_isolated",
+    "degrees": "trial,seed,s,c,p,count",
+    "hitting": "trial,seed,T_c,T_i,equal",
+    "smooth": "trial,seed,flagged,l1_size,ell,subset_size,expected_per_ellset,max_rel_dev,mean_rel_dev,sampled",
+    "sweep": "eps,p,trial,seed,largest,second,largest_fraction,second_fraction,predicted_fraction",
+}
 
 
 def test_configs_parse_and_name_a_subcommand():
@@ -625,3 +718,16 @@ def test_configs_parse_and_name_a_subcommand():
     for path in CONFIGS:
         parse_config(path.read_text(encoding="utf-8"))
         assert path.stem in _HANDLERS, f"{path.name} names no subcommand"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_configs_run_at_two_trials(path, tmp_path, capsys):
+    text, found = re.subn(r"^trials=\d+$", "trials=2", path.read_text(encoding="utf-8"), flags=re.M)
+    assert found == 1, f"{path.name} sets no trial count"
+    cfg = tmp_path / path.name
+    cfg.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, [path.stem, "--config", str(cfg)])
+    header, *rows = out.splitlines()
+    assert code == 0 and header == CONFIG_COLUMNS[path.stem]
+    trial = header.split(",").index("trial")
+    assert rows and {row.split(",")[trial] for row in rows} == {"0", "1"}

@@ -143,7 +143,6 @@ def test_apply_edge_merges_and_is_idempotent():
     uf = JSetUnionFind(Params(3, 2, 4))
     assert uf.apply_edge((1, 2, 3)) == 2
     assert uf.apply_edge((1, 2, 3)) == 0
-    assert uf.summary().m == 2
     assert uf.summary().isolated_count == 3
     assert uf.apply_edge((2, 3, 4)) == 2
     params = Params(3, 2, 4)
@@ -170,7 +169,7 @@ def test_apply_edge_validates():
     for bad in ((1.5, 2, 3), (1.0, 2.0, 3.0), (1, 2, "3")):  # no rounding to (1, 2, 3)
         with pytest.raises(ValidationError, match="vertices must be integers"):
             uf.apply_edge(bad)
-    assert uf.summary().m == 0 and num_sets(uf) == 6
+    assert num_sets(uf) == 6
     assert uf.apply_edge((np.int64(1), 2, np.int32(3))) == 2
 
 
@@ -254,7 +253,7 @@ def test_bfs_explore_hand_traced():
     rec = bfs_explore(h, (1, 2), 10)
     assert rec.generations == (((1, 2),), ((1, 3), (2, 3)), ((2, 4), (3, 4)))
     assert rec.exhausted
-    assert rec.boundary == ((2, 4), (3, 4))
+    assert rec.generations[-1] == ((2, 4), (3, 4))
 
 
 def test_bfs_explore_isolated_start():
@@ -262,7 +261,7 @@ def test_bfs_explore_isolated_start():
     rec = bfs_explore(h, (4, 5), 10)
     assert rec.generations == (((4, 5),),)
     assert rec.exhausted
-    assert rec.boundary == ((4, 5),)
+    assert rec.generations[-1] == ((4, 5),)
 
 
 def test_bfs_explore_truncation_contract():
@@ -362,7 +361,6 @@ def test_dsu_equals_bfs_oracle(mode, h):
     assert all(uf.find(r) == min(c) for c in parts for r in c)  # every label is its part's smallest rank
     assert [min(c) for c in parts] == sorted(min(c) for c in parts)
     assert unions == h.params.num_jsets - num_sets(uf)
-    assert uf.summary().m == h.m
     sizes = sorted(map(len, oracle), reverse=True) + [0, 0]
     s = uf.summary()
     assert (s.largest, s.second, s.num_nontrivial) == (sizes[0], sizes[1], len(oracle))

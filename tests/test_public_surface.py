@@ -1,13 +1,16 @@
-"""The package's public names, pinned as literal lists.
+"""The package's public names and its records' fields, pinned as literal
+lists.
 
-Adding or removing a public name is an API change; pinning the lists makes
-it show up here as a test edit.
+Adding or removing a public name or a record field is an API change;
+pinning the lists makes it show up here as a test edit.
 """
 
+import dataclasses
 import inspect
 
 import hyperphase
 from hyperphase.components import JSetUnionFind
+from hyperphase.params import Params
 
 EXPORTS = [
     "ComponentSummary", "ConfigError", "ConnectivityProbeResult", "ConvergenceError",
@@ -30,6 +33,22 @@ EXPORTS = [
 # the union-find's writers, then its four public reads
 UNION_FIND = ["apply_edge", "apply_ranks", "find", "largest_component_ranks", "partition", "summary"]
 
+# the fields of each record a library function returns, in declaration order
+RECORDS = {
+    "ComponentSummary": ["largest", "second", "num_nontrivial", "isolated_count", "is_j_connected"],
+    "ConnectivityProbeResult": ["below", "above"],
+    "DegreeProfile": ["counts"],
+    "DegreeRunResult": ["s", "c", "p", "poisson_rate", "trials", "tv_distance", "mean_count"],
+    "ExplorationRecord": ["start", "generations", "exhausted"],
+    "GWResult": ["offspring_rate", "batch", "survival", "iterations"],
+    "HittingRecord": ["trial", "seed", "t_c", "t_i"],
+    "SmoothnessReport": ["expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"],
+    "SmoothnessTrial": ["trial", "seed", "l1_size", "reports"],
+    "Stats": ["mean", "stddev"],
+    "SweepPoint": ["eps", "p", "trials", "largest_fraction", "predicted_fraction"],
+    "Thresholds": ["p_g", "p_c"],
+}
+
 
 def test_package_exports():
     # submodules become attributes once imported, so they are not exports
@@ -39,3 +58,11 @@ def test_package_exports():
 
 def test_union_find_public_attributes():
     assert sorted(n for n in vars(JSetUnionFind) if not n.startswith("_")) == UNION_FIND
+
+
+def test_union_find_state():
+    assert sorted(vars(JSetUnionFind(Params(3, 2, 6)))) == ["_labels", "params"]
+
+
+def test_record_fields():
+    assert {name: [f.name for f in dataclasses.fields(getattr(hyperphase, name))] for name in RECORDS} == RECORDS

@@ -8,14 +8,14 @@ shared arrays (``_batch_jset_ranks``: one gather from a cached edge-to-j-set
 table at small C(n, k), else one unrank and one j-rank pass, trial b's
 j-sets offset by b * C(n, j)), and their records equal one-trial runs.
 ``sweep``, ``connprobe`` and ``smooth`` share one driver (``_static_censuses``):
-a trial's points, all on its seed, grow union-finds off one rank draw.
+a trial's points, all on its seed, merge the new ranks ``models`` hands each
+count into one union-find per chain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,8 +38,7 @@ from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_count, _binomial_draw, _binomial_ranks, _distinct_ranks
-from .models import first_distinct_ranks, trial_seed
+from .models import _binomial_chains, _binomial_count, _binomial_ranks, _process_ranks, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
@@ -60,7 +59,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.base_seed < 0:  # random.Random seeds with |seed|, so -s would replay s's draws
+        if self.base_seed < 0:  # the generator seeds with |seed|, so -s would replay s's draws
             raise ValidationError(f"seed must be >= 0, got {self.base_seed}")
         if any(eps == 0 for eps in self.eps_grid):
             raise ValidationError("eps_grid values must be nonzero")
@@ -207,40 +206,31 @@ def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], 
     rows: list[list[tuple]] = [[] for _ in ps]
     for t, trial in enumerate(zip(*counts)):
         seed = trial_seed(cfg.base_seed, t)
-        for i, uf in _static_union_finds(cfg.params, trial, _binomial_draw(cfg.params, trial, seed)):
+        for i, uf in _static_union_finds(cfg.params, trial, seed):
             rows[i].append((t, seed, read(uf, seed)))
     return rows
 
 
-def _static_union_finds(params: Params, counts, draw: np.ndarray):
-    """(i, a union-find holding exactly ``_distinct_ranks(draw, C(n, k),
-    counts[i])``) for every count in increasing order, grown for the next
-    (Newman & Ziff 2001, made exact).  Counts up to C(n, k) // 2 take
-    prefixes, the rest complements of prefixes; each chain grows one
-    union-find by its new ranks only, sorted (they unrank faster) in blocks
-    of ``block_rows`` rows."""
-    total, half = params.num_ksets, params.num_ksets // 2
+def _static_union_finds(params: Params, counts, seed: int):
+    """(i, a union-find holding exactly the sample of edge count counts[i]
+    on `seed`) for every count in increasing order, grown for the next: one
+    union-find per ``_binomial_chains`` chain, merging each count's new
+    ranks, sorted (they unrank faster), in blocks of ``block_rows`` rows."""
     rows = block_rows(params.jsets_per_edge)
-    uf, done = None, 0
-    for i in sorted(range(len(counts)), key=counts.__getitem__):
-        m = counts[i]
-        if uf is None or done <= half < m:  # a chain starts
-            uf, new = JSetUnionFind(params), _distinct_ranks(draw, total, m)
-        else:
-            new = draw[done:m] if m <= half else draw[total - m:total - done]
+    for i, fresh, new in _binomial_chains(params.num_ksets, counts, seed):
+        uf = JSetUnionFind(params) if fresh else uf
         for b in range(0, len(new), rows):
             edges = colex_unrank_array(np.sort(new[b:b + rows]), params.k, params.n)
             uf.apply_ranks(jset_rank_array(edges, params.j, params.n))
-        done = m
         yield i, uf
 
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     """Both hitting times of the edge process, from one prefix of it per
-    trial drawn as arrays: ``first_distinct_ranks`` on the trial's generator
-    gives the process's ranks in order, the ones ``process_stream`` reads
-    one edge at a time.  The prefix starts at C(n, k) * (ln C(n, j) + 3) /
-    C(n - j, k - j) edges, where e^-3 j-sets are expected to be isolated.
+    trial drawn as arrays: ``_process_ranks`` gives the process's ranks in
+    order, the ones ``process_stream`` reads one edge at a time.  The prefix
+    starts at C(n, k) * (ln C(n, j) + 3) / C(n - j, k - j) edges, where e^-3
+    j-sets are expected to be isolated.
     ``_hitting_times`` takes consecutive trials in batches of ``block_rows``
     trials, one trial's rank array a row; a trial whose prefix ends before
     T_c goes into the next pass, twice as long.
@@ -278,7 +268,7 @@ def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[i
     check_cap("edge count m", count)
     batch, size = len(seeds), params.num_jsets
     base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
-    prefixes = [first_distinct_ranks(random.Random(s), params.num_ksets, count) for s in seeds]
+    prefixes = [_process_ranks(params, s, count) for s in seeds]
     ranks = _batch_jset_ranks(params, prefixes)
     first = np.full(batch * size, count)
     np.minimum.at(first, ranks.ravel(), np.tile(np.arange(count), ranks.size // count))

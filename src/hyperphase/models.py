@@ -21,13 +21,13 @@ complement is drawn instead, so rejection stays cheap.
 draws and keeps each value's first draw with one sort of packed value/index
 keys.  It reads words past the last kept draw, so it is the generator's last
 use: every caller seeds a fresh one and drops it after.  The replay
-defines the process: ``EdgeStream`` yields its ranks in draw order, and the
-samplers and ``hitting`` read the same draws; a binomial sample is its count,
-then that draw on the same generator (``_binomial_count``); a count at any p
-in (0, 1) reads the same two words, so one draw past them serves every p on
-a seed (``_binomial_draw``).  The replay is exact as long as ``randrange``
-keeps its word use (true of CPython 3.11, and pinned by the tests on the
-running interpreter against the loop itself).
+defines the process (``_process_ranks``, read by ``EdgeStream`` and
+``hitting``) and the samplers: a binomial sample is its count, then that
+draw on the same generator (``_binomial_count``); a count at any p in (0, 1)
+reads the same two words, so one draw past them serves every p on a seed,
+and only ``_binomial_chains`` knows which ranks make each count's sample.
+The replay is exact as long as ``randrange`` keeps its word use (CPython
+3.11, pinned by the tests on the running interpreter against the loop).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700); for
@@ -142,7 +142,7 @@ class EdgeStream:
             raise StopIteration
         if self.position == len(self._ranks):
             size = min(2 * self.position + 1, self._total)
-            self._ranks = first_distinct_ranks(random.Random(self.seed), self._total, size).tolist()
+            self._ranks = _process_ranks(self.params, self.seed, size).tolist()
         r = self._ranks[self.position]
         self.position += 1
         return colex_unrank(r, self.params.k, self.params.n)
@@ -183,13 +183,28 @@ def _binomial_count(params: Params, p: float, seed: int) -> tuple[int, random.Ra
     return m, rng
 
 
-def _binomial_draw(params: Params, counts, seed: int) -> np.ndarray:
-    """One rank draw holding each count's sample on `seed`: count m's is
-    ``_distinct_ranks(draw, C(n, k), m)``.  It skips the one ``random()`` a
-    count at p in (0, 1) reads; at p = 0 or 1 no draw is needed."""
-    rng, total = random.Random(seed), params.num_ksets
+def _binomial_chains(total: int, counts, seed: int):
+    """(i, fresh, new ranks) for each count in increasing order: count m's
+    sample on `seed`, ``_distinct_ranks(draw, total, m)``, is the new ranks
+    since its chain's `fresh` start, up to total // 2 a prefix of the draw
+    and past it a complement (Newman & Ziff 2001, made exact).  The one draw
+    skips the ``random()`` a count at p in (0, 1) reads; p = 0 or 1 needs none."""
+    rng, half, done = random.Random(seed), total // 2, None
     rng.random()
-    return first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
+    draw = first_distinct_ranks(rng, total, max(min(m, total - m) for m in counts))
+    del rng  # spent; held through the merges, it raised a static run's peak RSS
+    for i in sorted(range(len(counts)), key=counts.__getitem__):
+        m = counts[i]
+        if done is None or done <= half < m:  # a chain starts
+            yield i, True, _distinct_ranks(draw, total, m)
+        else:
+            yield i, False, draw[done:m] if m <= half else draw[total - m:total - done]
+        done = m
+
+
+def _process_ranks(params: Params, seed: int, count: int) -> np.ndarray:
+    """The colex ranks of the process's first `count` edges on `seed`, in order."""
+    return first_distinct_ranks(random.Random(seed), params.num_ksets, count)
 
 
 def second_round_probability(p: float, p0: float) -> float:

@@ -329,7 +329,6 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
         raise AssertionError("the guardrail must refuse before the first draw")
 
     monkeypatch.setattr(hyperphase.experiments, "sample_binomial", no_draw)
-    monkeypatch.setattr(hyperphase.experiments, "first_distinct_ranks", no_draw)
     monkeypatch.setattr(hyperphase.models, "first_distinct_ranks", no_draw)
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
@@ -534,7 +533,7 @@ def test_regime_advisories_become_notes(command, tmp_path):
 # "smooth-sampled" has sample_cap < C(30, 1), so it scores a sample.
 # "sweep-dense" runs p from 0 to 0.817 of C(6, 2) = 15 k-sets over an
 # unsorted grid with a repeat, so its trials grow both a prefix and a
-# complement chain (see experiments._static_union_finds).
+# complement chain (see models._binomial_chains).
 GOLDEN_STDOUT = {
     "sample-p": (
         "k=3\nj=2\nn=12\nseed=7\n",

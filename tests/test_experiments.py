@@ -111,7 +111,7 @@ def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, blo
         samples = [sample_binomial(params, p, seed) for p in ps]
         order = []
         counts = [models._binomial_count(params, p, seed)[0] for p in ps]
-        for i, uf in experiments._static_union_finds(params, counts, models._binomial_draw(params, counts, seed)):
+        for i, uf in experiments._static_union_finds(params, counts, seed):
             assert uf.summary() == component_summary(samples[i])
             largest = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
             assert np.array_equal(largest, largest_component_jsets(samples[i]))

@@ -379,6 +379,41 @@ def test_complement_rank_draw_matches_randrange_loop(total):
             assert ranks.dtype == np.int64 and ranks.tolist() == expected
 
 
+@pytest.mark.parametrize("total", [1, 2, 7, 15, 220])
+def test_binomial_chains_yield_each_sample_once(total):
+    # each count's sample is the ranks its chain has yielded so far, with
+    # none yielded twice (a merge is idempotent, so the static census tests
+    # cannot see a repeat); a chain starts at the first count and at the
+    # first past total // 2
+    half = total // 2
+    count_lists = [
+        [half + 1, 0, total, half, half + 1, half, 0, total],
+        [total, half + 1, total],
+        [half, 0, half, 1 if total > 1 else 0],
+        [0],
+        [total - 1, half + 1, 1, total - 1, half],
+    ]
+    if total == 220:
+        count_lists.append([3, 150, 17, 110, 111, 200, 111, 219, 56])
+    for seed in range(3):
+        rng = random.Random(seed)
+        rng.random()
+        draw = first_distinct_ranks(rng, total, total)  # extends every shorter draw
+        for counts in count_lists:
+            yielded = list(models._binomial_chains(total, counts, seed))
+            order = [i for i, _, _ in yielded]
+            assert sorted(order) == list(range(len(counts)))
+            ordered = [counts[i] for i in order]
+            assert ordered == sorted(counts)
+            past = [n for n, m in enumerate(ordered) if m > half][:1]
+            assert [n for n, (_, fresh, _) in enumerate(yielded) if fresh] == sorted({0, *past})
+            chain = []
+            for i, fresh, new in yielded:
+                chain = ([] if fresh else chain) + new.tolist()
+                assert len(set(chain)) == len(chain)
+                assert set(chain) == set(models._distinct_ranks(draw, total, counts[i]).tolist())
+
+
 def scalar_log_cdfs(n_trials, p, steps):
     """log CDF(0..steps) by the scalar loop's own recurrence."""
     log_odds = math.log(p) - math.log1p(-p)
@@ -404,7 +439,7 @@ def test_binomial_inversion_replay_matches_scalar_loop():
 
 
 def test_binomial_count_draw_matches_scalar_path(monkeypatch):
-    # a static run's one rank draw per seed (_binomial_draw) starts past one
+    # a static run's one rank draw per seed (_binomial_chains) starts past one
     # random(): every count at p in (0, 1) must stop there, on the inversion
     # branch, the normal approximation (a mean past 8) and the p > 1/2
     # mirror; a count at p = 0 or 1 reads no word

@@ -3,8 +3,9 @@
 Every runner is a pure function of its ExperimentConfig: trial t uses the
 generator seeded with ``trial_seed(base_seed, t)``, the seed is recorded in
 the trial's row, and a re-run reproduces every record bit for bit.  Trials
-are independent; ``hitting`` and ``degrees`` reduce batches of them over
-shared arrays (``_batch_jset_ranks``: one gather from a cached edge-to-j-set
+are independent; ``hitting`` and ``degrees`` draw batches of them in one
+``models`` call and reduce them over shared arrays
+(``_batch_jset_ranks``: one gather from a cached edge-to-j-set
 table at small C(n, k), else one unrank and one j-rank pass, trial b's
 j-sets offset by b * C(n, j)), and their records equal one-trial runs.
 ``sweep``, ``connprobe`` and ``smooth`` share one driver (``_static_censuses``):
@@ -38,7 +39,7 @@ from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_chains, _binomial_count, _binomial_ranks, _process_ranks, trial_seed
+from .models import _binomial_batch, _binomial_chains, _binomial_count, _binomial_words, _process_batch, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
@@ -227,7 +228,7 @@ def _static_union_finds(params: Params, counts, seed: int):
 
 def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
     """Both hitting times of the edge process, from one prefix of it per
-    trial drawn as arrays: ``_process_ranks`` gives the process's ranks in
+    trial drawn as arrays: ``_process_batch`` gives each trial's ranks in
     order, the ones ``process_stream`` reads one edge at a time.  The prefix
     starts at C(n, k) * (ln C(n, j) + 3) / C(n - j, k - j) edges, where e^-3
     j-sets are expected to be isolated.
@@ -268,8 +269,7 @@ def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[i
     check_cap("edge count m", count)
     batch, size = len(seeds), params.num_jsets
     base = np.arange(0, batch * size, size)  # trial b's j-set r is b * C(n, j) + r
-    prefixes = [_process_ranks(params, s, count) for s in seeds]
-    ranks = _batch_jset_ranks(params, prefixes)
+    ranks = _batch_jset_ranks(params, _process_batch(params, seeds, count))
     first = np.full(batch * size, count)
     np.minimum.at(first, ranks.ravel(), np.tile(np.arange(count), ranks.size // count))
     t_i = first.reshape(batch, size).max(axis=1) + 1
@@ -314,28 +314,31 @@ def _jset_table(k: int, j: int, n: int) -> np.ndarray:
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     """Sample the binomial model in the degree-s regime and compare the
     empirical law of the degree-s count with its Poisson target.  Each
-    trial draws ``sample_binomial``'s ranks; consecutive trials are counted
-    together, from their touched j-sets only (``_degree_counts``), in
-    batches whose j-set ranks fit a block (``block_rows(1)`` of them) and
-    whose B * C(n, j) fits int64 (one trial at least), so a run holds one
-    batch's arrays and one count per trial."""
+    trial draws ``sample_binomial``'s edge count and holds the words of its
+    rank draw (``_binomial_words``); consecutive trials draw their ranks
+    together (``_binomial_batch``) and are counted together, from their
+    touched j-sets only (``_degree_counts``), in batches whose j-set ranks
+    fit a block (``block_rows(1)`` of them) and whose B * C(n, j) fits int64
+    (one trial at least), so a run holds one batch's words and arrays and
+    one count per trial."""
     params, s, c = cfg.params, cfg.require("s"), cfg.require("c")
     p = degree_regime_p(params, s, c)
     size, per_edge = params.num_jsets, params.jsets_per_edge
     budget = block_rows(1)  # j-set ranks in one batch
     values: list[int] = []
-    batch: list[np.ndarray] = []
+    batch: list[tuple[int, int, bytes]] = []  # (seed, edge count, first words) per trial
     held = 0  # edges in the batch
     for t in range(cfg.trials):
-        ranks = _binomial_ranks(params, p, trial_seed(cfg.base_seed, t))
-        if batch and ((held + len(ranks)) * per_edge > budget or (len(batch) + 1) * size > INT64_MAX):
-            values += _degree_counts(params, batch, s)
-            batch, held = [], 0
-        batch.append(ranks)
-        held += len(ranks)
+        seed = trial_seed(cfg.base_seed, t)
+        m, words = _binomial_words(params, p, seed)
+        if batch and ((held + m) * per_edge > budget or (len(batch) + 1) * size > INT64_MAX):
+            ranks, batch, held = _binomial_batch(params, p, batch), [], 0  # the words freed before the count
+            values += _degree_counts(params, ranks, s)
+        batch.append((seed, m, words))
+        held += m
         if held * per_edge > budget or t == cfg.trials - 1:  # a lone trial past the budget is counted (and refused) now
-            values += _degree_counts(params, batch, s)
-            batch, held = [], 0
+            ranks, batch, held = _binomial_batch(params, p, batch), [], 0
+            values += _degree_counts(params, ranks, s)
     rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
     rate = poisson_limit_rate(params, s, c)
     return DegreeRunResult(s, c, p, rate, rows, tv_to_poisson(values, rate), statistics.fmean(values))

@@ -21,18 +21,24 @@ complement is drawn instead, so rejection stays cheap.
 draws and keeps each value's first draw with one sort of packed value/index
 keys.  It reads words past the last kept draw, so it is the generator's last
 use: every caller seeds a fresh one and drops it after.  The replay
-defines the process (``_process_ranks``, read by ``EdgeStream`` and
-``hitting``) and the samplers: a binomial sample is its count, then that
-draw on the same generator (``_binomial_count``); a count at any p in (0, 1)
-reads the same two words, so one draw past them serves every p on a seed,
-and only ``_binomial_chains`` knows which ranks make each count's sample.
-The replay is exact as long as ``randrange`` keeps its word use (CPython
+defines the process (``_process_ranks``, read by ``EdgeStream``) and the
+samplers: a binomial sample is its count, then that draw on the same
+generator (``_binomial_count``); a count at any p in (0, 1) reads the same
+two words, so one draw past them serves every p on a seed, and only
+``_binomial_chains`` knows which ranks make each count's sample.  Many
+small trials draw together (``_process_batch`` for ``hitting``,
+``_binomial_batch`` for ``degrees``): each trial's generator reads the
+words of the replay's first round and is dropped, and one sort of packed
+trial/value/index keys finds every trial's ranks; a trial whose first
+round holds too few values (under 0.2% at the benchmark's sizes) is
+redrawn alone.  The
+replay is exact as long as ``randrange`` keeps its word use (CPython
 3.11, pinned by the tests on the running interpreter against the loop).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
-space (plain-space inversion underflows once the mean passes ~700); for
-populations beyond 2^53 or means beyond 10^7 a normal approximation with
-continuity correction stands in.  The scalar loop ``_scalar_inversion``
+space (plain-space inversion underflows once the mean passes ~700), at any
+C(n, k); for means beyond 10^7 a normal approximation with continuity
+correction stands in.  The scalar loop ``_scalar_inversion``
 defines the count; ``_inversion_crossing`` replays it with numpy and
 accepts its answer only when every comparison clears a stated bound on the
 drift between ``np.log`` and ``math.log``; the scalar loop decides the
@@ -57,7 +63,6 @@ from .errors import ValidationError
 from .params import Params
 
 _NORMAL = NormalDist()
-_BIG_POPULATION = 2**53
 _MAX_INVERSION_MEAN = 1e7
 _MAX_INVERSION_BLOCK = 2**16
 _EPS = 2.0**-52
@@ -173,6 +178,23 @@ def _binomial_ranks(params: Params, p: float, seed: int) -> np.ndarray:
     return np.sort(_draw_distinct_ranks(rng, params.num_ksets, m))
 
 
+def _binomial_words(params: Params, p: float, seed: int) -> tuple[int, bytes]:
+    """``sample_binomial``'s edge count on `seed`, guardrail-checked, and the
+    words its rank draw reads first (``_round_words``), for ``_binomial_batch``."""
+    m, rng = _binomial_count(params, p, seed)
+    return m, _round_words(rng, params.num_ksets, 0, min(m, params.num_ksets - m))
+
+
+def _binomial_batch(params: Params, p: float, trials: list[tuple[int, int, bytes]]) -> list[np.ndarray]:
+    """``_binomial_ranks(params, p, seed)`` for each (seed, m, words) in
+    `trials`, m and words from ``_binomial_words``: one ``_batch_first_ranks``
+    draw, and a trial whose first round holds too few values redrawn alone."""
+    total = params.num_ksets
+    draws = _batch_first_ranks(total, [min(m, total - m) for _, m, _ in trials], [w for _, _, w in trials])
+    return [_binomial_ranks(params, p, seed) if draw is None else np.sort(_distinct_ranks(draw, total, m))
+            for (seed, m, _), draw in zip(trials, draws)]
+
+
 def _binomial_count(params: Params, p: float, seed: int) -> tuple[int, random.Random]:
     """``sample_binomial``'s edge count, guardrail-checked, and its generator,
     whose next words the sample's rank draw reads."""
@@ -205,6 +227,16 @@ def _binomial_chains(total: int, counts, seed: int):
 def _process_ranks(params: Params, seed: int, count: int) -> np.ndarray:
     """The colex ranks of the process's first `count` edges on `seed`, in order."""
     return first_distinct_ranks(random.Random(seed), params.num_ksets, count)
+
+
+def _process_batch(params: Params, seeds: list[int], count: int) -> list[np.ndarray]:
+    """``_process_ranks(params, seed, count)`` for each seed: one
+    ``_batch_first_ranks`` draw, and a trial whose first round holds too few
+    values redrawn alone."""
+    total = params.num_ksets
+    words = [_round_words(random.Random(seed), total, 0, count) for seed in seeds]
+    draws = _batch_first_ranks(total, [count] * len(seeds), words)
+    return [_process_ranks(params, seed, count) if draw is None else draw for seed, draw in zip(seeds, draws)]
 
 
 def second_round_probability(p: float, p0: float) -> float:
@@ -242,22 +274,21 @@ def _distinct_ranks(draw: np.ndarray, total: int, count: int) -> np.ndarray:
 
 def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarray:
     """The first `count` distinct values of repeated ``rng.randrange(total)``,
-    in draw order, as int64.  `rng` is spent: the batches read words past
-    the last kept draw.
+    in draw order, as int64.  `rng` is spent: each round of draws reads
+    words past the last kept draw.
 
     ``randrange(total)`` draws b = total.bit_length() bits and rejects
     values >= total.  For b <= 32 the bits are one 32-bit MT19937 word
     shifted right by 32 - b; for 33 <= b <= 63 they are two words, the low
     one first and the high one shifted right by 64 - b.  ``getrandbits(32 *
-    W)`` returns the next W words little-endian, so a batch of draws is one
-    call mapped with numpy.  `total` must fit in int64, as every binomial
-    coefficient here does; `count` > `total` raises ``ValidationError``
-    before any word is drawn.  Kept values and each batch's in-range values
-    form one pool whose first occurrences are kept, found by one sort of the
-    packed keys value << s | index (s = len(pool).bit_length()) when b + s
-    <= 63, else by ``np.unique``.  A batch is at most 2 * count + 64 draws,
-    so the pool, its keys and every other array held here have at most 3 *
-    count + 64 entries.
+    W)`` returns the next W words little-endian, so a round of draws is one
+    call (``_round_words``) mapped with numpy (``_rank_candidates``).
+    `total` must fit in int64, as every binomial coefficient here does;
+    `count` > `total` raises ``ValidationError`` before any word is drawn.
+    Kept values and each round's in-range values form one pool whose first
+    occurrences are kept (``_first_occurrences``).  A round is at most 2 *
+    count + 64 draws (``_draw_size``), so the pool, its keys and every other
+    array held here have at most 3 * count + 64 entries.
     """
     if count > total:
         raise ValidationError(f"cannot draw count={count} distinct ranks from total={total}")
@@ -266,37 +297,77 @@ def first_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarr
         return values
     bits = total.bit_length()
     while len(values) < count:
-        free = total - len(values)
-        need = count - len(values)
-        # expected draws for `need` new values: 2^b / total per in-range
-        # draw, times total * ln(free / (free - need)) in-range draws
-        expected = (1 << bits) * -math.log1p(-need / free) if need < free else math.inf
-        cand = _rank_candidates(rng, bits, int(min(1.05 * expected + 32, 2 * count + 64)))
-        pool = np.concatenate((values, cand.compress(cand < total)))  # kept values, then this batch's (branch-free)
+        cand = _rank_candidates(_round_words(rng, total, len(values), count), bits)
+        pool = np.concatenate((values, cand.compress(cand < total)))  # kept values, then this round's (branch-free)
         values = pool[_first_occurrences(pool, bits)[:count]]
     return values
 
 
-def _first_occurrences(pool: np.ndarray, bits: int) -> np.ndarray:
+def _batch_first_ranks(total: int, counts: list[int], words: list[bytes]) -> list[np.ndarray | None]:
+    """``first_distinct_ranks(rng, total, counts[b])`` for each trial b whose
+    first round, ``words[b] = _round_words(rng, total, 0, counts[b])``, holds
+    that many distinct values, else None (that draw reads a second round).
+    The trials' words are mapped, filtered and deduplicated together: one
+    pool, its values keyed by trial, and one ``_first_occurrences`` sort."""
+    bits = total.bit_length()
+    size = 4 if bits <= 32 else 8  # bytes per draw
+    cand = _rank_candidates(b"".join(words), bits)
+    keep = cand < total
+    pool = cand.compress(keep)
+    trial = np.repeat(np.arange(len(words)), [len(w) // size for w in words]).compress(keep)
+    del cand, keep  # freed before the sort's keys are built
+    first = _first_occurrences(pool, bits, trial)
+    values = pool[first]  # trial b's are values[starts[b]:starts[b + 1]]
+    starts = np.searchsorted(trial[first], np.arange(len(words) + 1)).tolist()
+    return [values[a:a + c] if a + c <= end else None for a, end, c in zip(starts, starts[1:], counts)]
+
+
+def _draw_size(total: int, kept: int, count: int) -> int:
+    """Draws in the next round of ``first_distinct_ranks`` once `kept` of
+    its `count` values are: 5% and 32 past the expected number, at most
+    2 * count + 64."""
+    free, need = total - kept, count - kept
+    # expected draws for `need` new values: 2^b / total per in-range
+    # draw, times total * ln(free / (free - need)) in-range draws
+    expected = (1 << total.bit_length()) * -math.log1p(-need / free) if need < free else math.inf
+    return int(min(1.05 * expected + 32, 2 * count + 64))
+
+
+def _first_occurrences(pool: np.ndarray, bits: int, trial: np.ndarray | None = None) -> np.ndarray:
     """Ascending indices of the first occurrence of each value in `pool`, an
-    int64 array of values below 2^bits (see ``first_distinct_ranks``)."""
+    int64 array of values below 2^bits; given `trial`, each entry's trial
+    number (non-decreasing), of each value within its trial.  One sort of
+    the packed keys (trial << bits | value) << s | index, s =
+    len(pool).bit_length(), puts each key's occurrences in draw order;
+    ``np.unique`` stands in when the keys would pass 63 bits."""
     shift = len(pool).bit_length()
-    if bits + shift > 63:
-        return np.sort(np.unique(pool, return_index=True)[1])
-    key = pool << shift | np.arange(len(pool))
+    field = int(trial[-1]).bit_length() if trial is not None and len(trial) else 0
+    if field + bits + shift > 63:
+        rows = pool if trial is None else np.stack((trial, pool), axis=1)
+        return np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    key = (trial << bits | pool if field else pool) << shift | np.arange(len(pool))
     key.sort()  # each value's occurrences in draw order
     value = key >> shift
     head = np.ones(len(key), dtype=bool)
     head[1:] = value[1:] != value[:-1]
-    return np.sort(key[head] & (1 << shift) - 1)
+    first = np.zeros(len(key), dtype=bool)  # the heads' indices, put back in draw order
+    first[key[head] & (1 << shift) - 1] = True
+    return np.flatnonzero(first)
 
 
-def _rank_candidates(rng: random.Random, bits: int, draws: int) -> np.ndarray:
-    """The next `draws` values of ``rng.getrandbits(bits)``, 1 <= bits <= 63,
-    as int64, from one bulk draw of 32-bit words."""
-    words = 1 if bits <= 32 else 2
-    w = np.frombuffer(rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws, "little"), "<u4")
-    if words == 1:
+def _round_words(rng: random.Random, total: int, kept: int, count: int) -> bytes:
+    """The little-endian 32-bit words of the next round of
+    ``first_distinct_ranks(rng, total, count)`` once `kept` of its values
+    are: ``_draw_size`` draws of one word each, two past 32 bits."""
+    size = (4 if total.bit_length() <= 32 else 8) * _draw_size(total, kept, count)
+    return rng.getrandbits(8 * size).to_bytes(size, "little")
+
+
+def _rank_candidates(words: bytes, bits: int) -> np.ndarray:
+    """The ``getrandbits(bits)``, 1 <= bits <= 63, values that
+    ``_round_words`` bytes hold, as int64."""
+    w = np.frombuffer(words, "<u4")
+    if bits <= 32:
         return (w >> (32 - bits)).astype(np.int64)
     return w[0::2].astype(np.int64) | (w[1::2] >> (64 - bits)).astype(np.int64) << 32
 
@@ -310,7 +381,7 @@ def _draw_binomial_count(rng: random.Random, n_trials: int, p: float) -> int:
     if p > 0.5:
         return n_trials - _draw_binomial_count(rng, n_trials, 1.0 - p)
     mean = n_trials * p
-    if n_trials > _BIG_POPULATION or mean > _MAX_INVERSION_MEAN:
+    if mean > _MAX_INVERSION_MEAN:
         # normal approximation with continuity correction; uniform kept
         # strictly inside (0, 1) so inv_cdf stays finite
         u = (rng.getrandbits(53) + 0.5) * 2.0**-53
@@ -349,10 +420,14 @@ def _inversion_crossing(log_u: float, n_trials: int, p: float) -> int | None:
     Blocks of at most min(mean + 10 sd, 2^16) + 1 steps replay the loop's
     recurrence: ``np.add.accumulate`` and ``np.logaddexp.accumulate`` add in
     the loop's order, but ``np.log`` may differ from ``math.log`` in the
-    last bits.  Allowing each within 4 ulp of the true log, one step drifts
-    log pmf and log CDF by at most eps * S, with eps = 2^-52 and S = 2 |log
-    odds| + 12 log(n + 1) + 2 max|log pmf| + 7 covering the two logs, the
-    roundings and ``logaddexp`` (1-Lipschitz); after m steps the drift is
+    last bits.  Past 2^53, float(n - m) is not exact either: the replay
+    rounds n and then n - m, and ``math.log`` its exact int, each by at most
+    2^-53 relative, so the two logs' arguments differ by under 2 eps
+    relative.  Allowing each log within 4 ulp of the true log, one step
+    drifts log pmf and log CDF by at most eps * S, with eps = 2^-52 and S =
+    2 |log odds| + 12 log(n + 1) + 2 max|log pmf| + 9 covering the two
+    logs, their arguments' rounding (2), the sums' roundings and
+    ``logaddexp`` (1-Lipschitz); after m steps the drift is
     at most m * eps * S.  The first step whose exit test might pass within
     twice that bound must pass outside it, or the answer is None.  A block's
     log CDF plus the drift is non-decreasing, so the first step whose CDF
@@ -383,7 +458,7 @@ def _inversion_block(n_trials: int, p: float, start: int, log_pmf: float, log_cd
     mean = n_trials * p
     log_odds = math.log(p) - math.log1p(-p)
     size = min(math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 - p))), _MAX_INVERSION_BLOCK) + 1
-    scale = 2.0 * abs(log_odds) + 12.0 * math.log(n_trials + 1) + 7.0
+    scale = 2.0 * abs(log_odds) + 12.0 * math.log(n_trials + 1) + 9.0
     stop = min(start + size, n_trials)
     m = np.arange(start, stop, dtype=np.float64)  # the steps m -> m + 1
     steps = log_odds + np.log(n_trials - m) - np.log(m + 1.0)

@@ -330,6 +330,7 @@ def test_exit_code_resource_guardrail(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(hyperphase.experiments, "sample_binomial", no_draw)
     monkeypatch.setattr(hyperphase.models, "first_distinct_ranks", no_draw)
+    monkeypatch.setattr(hyperphase.models, "_round_words", no_draw)  # the batched draws read words here
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
     assert code == 2 and "C(n=4, j=2) = 6 exceeds the guardrail cap 5" in err and out == ""
     code, out, err = run(capsys, ["hitting", "--config", str(cfg)])

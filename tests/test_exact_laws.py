@@ -117,23 +117,51 @@ def test_phase_sweep_mean_largest_law(params, eps_grid):
 
 
 # 99.99% quantiles of chi-square, frozen (degrees of freedom: value)
-CHI2_9999 = {5: 25.7448, 6: 27.8563, 8: 31.8276}
+CHI2_9999 = {5: 25.7448, 6: 27.8563, 8: 31.8276, 14: 42.5793, 47: 91.8412}
+
+
+def pooled_chi2(observed, expected):
+    """Chi-square and its degrees of freedom over one bin per count that
+    expects 5 or more (a run, the binomial pmf being unimodal), and one bin
+    per tail past the run, joined to the run's end bin if it expects less."""
+    big = [m for m, e in enumerate(expected) if e >= 5]
+    a, b = big[0], big[-1] + 1
+    starts = [*range(a, b), *([b] if sum(expected[b:]) >= 5 else [])]
+    starts = [0, *starts] if sum(expected[:a]) >= 5 else [0, *starts[1:]]
+    bins = list(zip(starts, [*starts[1:], len(expected)]))
+    pooled = [(sum(observed[lo:hi]), sum(expected[lo:hi])) for lo, hi in bins]
+    assert min(e for _, e in pooled) >= 5
+    return sum((o - e) ** 2 / e for o, e in pooled), len(pooled) - 1
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.8])
 def test_binomial_edge_count_law(p):
-    # the sampled edge count against Binomial(C(5, 3) = 10, p) on trial
-    # seeds 1..4000; tail bins pool until each expects 5 counts or more
+    # the sampled edge count against Binomial(C(5, 3) = 10, p) on trial seeds 1..4000
     params, seeds = Params(3, 2, 5), range(1, 4001)
     big_n = params.num_ksets
     expected = [len(seeds) * math.comb(big_n, m) * p**m * (1 - p) ** (big_n - m) for m in range(big_n + 1)]
     observed = [0] * (big_n + 1)
     for seed in seeds:
         observed[models._binomial_count(params, p, seed)[0]] += 1
-    lo = next(m for m in range(big_n + 1) if sum(expected[: m + 1]) >= 5)
-    hi = next(m for m in range(big_n, -1, -1) if sum(expected[m:]) >= 5)
-    cuts = [(0, lo + 1), *((m, m + 1) for m in range(lo + 1, hi)), (hi, big_n + 1)]
-    pooled = [(sum(observed[a:b]), sum(expected[a:b])) for a, b in cuts]
-    assert lo < hi and min(e for _, e in pooled) >= 5
-    chi2 = sum((o - e) ** 2 / e for o, e in pooled)
-    assert chi2 <= CHI2_9999[len(pooled) - 1], (p, chi2, len(pooled) - 1)
+    chi2, dof = pooled_chi2(observed, expected)
+    assert chi2 <= CHI2_9999[dof], (p, chi2, dof)
+
+
+@pytest.mark.parametrize("mean", [5, 50])
+def test_binomial_edge_count_law_past_2_53(mean):
+    # C(10^5, 4) ~ 4.2e18 possible edges, on trial seeds 1..20,000: the
+    # count is Binomial(N, p) past 2^53 too.  The pmf is summed in log space
+    # from exact integer logs (lgamma(N + 1) cancels at this N); counts past
+    # `top` (mean + 12 sd + 20, mass below 1e-20) join the last bin
+    params, seeds = Params(4, 1, 10**5), range(1, 20_001)
+    big_n = params.num_ksets
+    p = mean / big_n
+    top = math.ceil(mean + 12 * math.sqrt(mean) + 20)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    expected = [len(seeds) * math.exp(math.log(math.comb(big_n, m)) + m * log_p + (big_n - m) * log_q)
+                for m in range(top + 1)]
+    observed = [0] * (top + 1)
+    for seed in seeds:
+        observed[min(models._binomial_count(params, p, seed)[0], top)] += 1
+    chi2, dof = pooled_chi2(observed, expected)
+    assert chi2 <= CHI2_9999[dof], (mean, chi2, dof)

@@ -475,6 +475,26 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
             kernel[shape] = res
 
 
+@pytest.mark.parametrize("params", [Params(3, 1, 100), Params(2, 1, 50)])
+def test_rows_survive_the_short_trial_redo(monkeypatch, params):
+    # a first round of one draw leaves every trial of two or more edges
+    # short, so each is redrawn alone from its seed: the records must not move
+    degrees = ExperimentConfig(params=params, regime=RegimeParams(s=0, c=0.0), trials=30, base_seed=4)
+    hitting = ExperimentConfig(params=params, trials=30, base_seed=4)
+    expected = (run_degree_experiment(degrees), run_hitting_time(hitting))
+    size, batch_draw, short = models._draw_size, models._batch_first_ranks, []
+
+    def spy_batch(total, counts, words):
+        draws = batch_draw(total, counts, words)
+        short.extend(c for c, d in zip(counts, draws) if d is None)
+        return draws
+
+    monkeypatch.setattr(models, "_draw_size", lambda total, kept, count: size(total, kept, count) if kept else 1)
+    monkeypatch.setattr(models, "_batch_first_ranks", spy_batch)
+    assert (run_degree_experiment(degrees), run_hitting_time(hitting)) == expected
+    assert len(short) >= 2 * 30  # every trial of both runs, and hitting's longer prefixes
+
+
 def test_jset_table_equals_colex_rank_within_its_budgets(monkeypatch):
     for k in range(2, 6):
         for j, n in product(range(1, k), range(k, 13)):

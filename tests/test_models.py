@@ -321,14 +321,74 @@ def test_first_occurrences_keep_the_first_of_each_repeat(bits):
     assert first.tolist() == [0, 1, 4]  # the last occurrences would be [4, 5, 6]
     assert np.array_equal(first, np.sort(np.unique(pool, return_index=True)[1]))
     assert models._first_occurrences(pool[:0], bits).tolist() == []
+    assert models._first_occurrences(pool[:0], bits, pool[:0]).tolist() == []
+    # two trials: each keeps its own first of every value, the trial field alone separating them
+    trial = np.array([0, 0, 0, 1, 1, 1, 1])
+    assert models._first_occurrences(pool, bits, trial).tolist() == [0, 1, 3, 4, 6]
+    assert models._first_occurrences(pool, bits, np.zeros(7, dtype=np.int64)).tolist() == [0, 1, 4]
     pool = np.random.default_rng(bits).integers(0, 12, 500) << (bits - 4)  # many repeats
     assert np.array_equal(models._first_occurrences(pool, bits), np.sort(np.unique(pool, return_index=True)[1]))
+    trial = np.repeat(np.arange(3), [200, 0, 300])
+    expected = [np.sort(np.unique(pool[t == trial], return_index=True)[1]) + (t == trial).argmax() for t in (0, 2)]
+    assert np.array_equal(models._first_occurrences(pool, bits, trial), np.concatenate(expected))
 
 
 def test_rank_replay_spans_batches_near_a_full_draw():
     # 95 of 100 values: later batches must skip values kept by earlier ones
     replay, loop = random.Random(7), random.Random(7)
     assert first_distinct_ranks(replay, 100, 95).tolist() == scalar_first_distinct(loop, 100, 95)
+
+
+def after_count(seed):
+    """A fresh generator on `seed` past a binomial count's ``random()``."""
+    rng = random.Random(seed)
+    rng.random()
+    return rng
+
+
+def words_after_count(seed, total, count):
+    """The words a draw of `count` reads in its first round, after the count."""
+    return models._round_words(after_count(seed), total, 0, count)
+
+
+@pytest.mark.parametrize("total", [1, 7, 100, 4060, 161_700, 2**32 + 1, 2**63 - 1])
+@pytest.mark.parametrize("batch", [1, 2, 23])
+def test_batch_draw_equals_one_trial_draws(total, batch):
+    # the two-word path past 2^32, packed keys past 63 bits at 2^63 - 1;
+    # seeds repeat, so two trials of a batch draw the same values
+    counts = [c for c in (0, 1, total // 2, total // 2 + 1, total, 300) if c <= min(total, 200_000)]
+    trials = [(seed % 5, counts[seed % len(counts)]) for seed in range(batch)]
+    words = [words_after_count(seed, total, count) for seed, count in trials]
+    draws = models._batch_first_ranks(total, [count for _, count in trials], words)
+    assert len(draws) == batch
+    for (seed, count), draw in zip(trials, draws):
+        one = first_distinct_ranks(after_count(seed), total, count)
+        if draw is None:  # the first round came up short: the one-trial draw needed a second
+            rng, bits = after_count(seed), total.bit_length()
+            first = {r for r in (rng.getrandbits(bits) for _ in range(models._draw_size(total, 0, count))) if r < total}
+            assert len(first) < count
+            continue
+        assert draw.dtype == np.int64 and np.array_equal(draw, one)
+        if count <= 5000:  # the loop's cost grows with count
+            assert draw.tolist() == scalar_first_distinct(after_count(seed), total, count)
+    short = models._batch_first_ranks(100, [95, 3], [words_after_count(s, 100, c) for s, c in ((7, 95), (7, 3))])
+    assert short[0] is None and short[1].tolist() == scalar_first_distinct(after_count(7), 100, 3)
+
+
+def test_batched_samples_redraw_short_trials():
+    # the batched process prefixes and binomial samples equal one-trial
+    # draws; all 91 of 91 needs more than one round, so it is redrawn
+    params = Params(2, 1, 14)  # C(14, 2) = 91 k-sets
+    seeds = [3, 4, 3, 5]
+    words = [models._round_words(random.Random(s), 91, 0, 91) for s in seeds]
+    assert models._batch_first_ranks(91, [91] * len(seeds), words) == [None] * len(seeds)
+    for count in (0, 1, 45, 46, 85, 91):
+        assert all(np.array_equal(a, models._process_ranks(params, s, count))
+                   for s, a in zip(seeds, models._process_batch(params, seeds, count)))
+    for p in (0.0, 0.3, 0.5, 0.93, 1.0):
+        trials = [(s, *models._binomial_words(params, p, s)) for s in seeds]
+        assert all(np.array_equal(a, models._binomial_ranks(params, p, s))
+                   for s, a in zip(seeds, models._binomial_batch(params, p, trials)))
 
 
 @pytest.mark.parametrize("total", [1, 7, 100, 4060])

@@ -7,6 +7,7 @@ pinning the lists makes it show up here as a test edit.
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import hyperphase
 from hyperphase.components import JSetUnionFind
@@ -66,3 +67,11 @@ def test_union_find_state():
 
 def test_record_fields():
     assert {name: [f.name for f in dataclasses.fields(getattr(hyperphase, name))] for name in RECORDS} == RECORDS
+
+
+def test_experiments_hold_no_sample_rule():
+    # generators, rank draws, prefixes and complements live in models; the
+    # drivers batch trials and hand models their seeds and counts
+    source = (Path(hyperphase.__file__).parent / "experiments.py").read_text(encoding="utf-8")
+    for word in ("random", "getrandbits", "first_distinct_ranks", "_distinct_ranks", "// 2"):
+        assert word not in source, word

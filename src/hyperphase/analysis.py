@@ -8,7 +8,6 @@ isolated-count heuristic E[D_0] ~ C(n,j) * exp(-p * C(n, k-j)).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .combinatorics import JSet, binomial, canonical_array, check_cap, jset_rank_array
 from .errors import ConvergenceError, ValidationError
-from .models import Hypergraph, first_distinct_ranks
+from .models import Hypergraph, _first_ranks
 from .params import Params
 
 GW_TOL = 1e-12
@@ -97,7 +96,9 @@ def thresholds(params: Params) -> Thresholds:
 
 
 def predicted_giant_fraction(params: Params, eps: float) -> float:
-    """Predicted |L1| / C(n, j) at p = (1 + eps) * p_g, for eps > 0."""
+    """Predicted |L1| / C(n, j) at p = (1 + eps) * p_g, for eps > 0: the
+    eps -> 0 formula 2 eps / (C(k, j) - 1), unbounded (past 1 far above
+    p_g); ``gw_survival`` (``hyperphase gw``) is the branching survival."""
     if eps <= 0:
         raise ValidationError(f"eps must be positive (no giant below threshold), got {eps}")
     return 2.0 * eps / (binomial(params.k, params.j) - 1)
@@ -159,10 +160,10 @@ def smoothness_score(
     For each ell-set L, deg(L) = #{J in S : L subset of J} is compared to
     the flat-coverage value (|S| / C(n,j)) * C(n, j-ell); the report gives
     the max and mean relative deviation.  All C(n, ell) ell-sets are scored
-    unless that exceeds sample_cap, in which case a seeded uniform sample
-    is scored and the report's `sampled` flag is set.  Deviations are
-    summed in lexicographic order of the ell-sets on the full path and in
-    ascending colex rank on the sampled one.
+    unless that exceeds sample_cap, in which case a uniform sample that
+    ``models`` draws on `seed` is scored and the report's `sampled` flag is
+    set.  Deviations are summed in lexicographic order of the ell-sets on
+    the full path and in ascending colex rank on the sampled one.
     """
     j, n = params.j, params.n
     if not 0 <= ell < j:
@@ -184,7 +185,7 @@ def smoothness_score(
         degs = np.bincount(mirrored.ravel(order="K"), minlength=total_ellsets)[::-1]
     else:
         sampled = True
-        picked_ranks = np.sort(first_distinct_ranks(random.Random(seed), total_ellsets, sample_cap))
+        picked_ranks = np.sort(_first_ranks(total_ellsets, seed, sample_cap))
         ranks, counts = np.unique(jset_rank_array(family, ell, n), return_counts=True)
         at = np.searchsorted(ranks, picked_ranks).clip(max=len(ranks) - 1)
         degs = np.where(ranks[at] == picked_ranks, counts[at], 0)

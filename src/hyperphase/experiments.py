@@ -1,16 +1,16 @@
 """Seeded Monte Carlo experiment drivers.
 
-Every runner is a pure function of its ExperimentConfig: trial t uses the
-generator seeded with ``trial_seed(base_seed, t)``, the seed is recorded in
-the trial's row, and a re-run reproduces every record bit for bit.  Trials
-are independent; ``hitting`` and ``degrees`` draw batches of them in one
-``models`` call and reduce them over shared arrays
-(``_batch_jset_ranks``: one gather from a cached edge-to-j-set
-table at small C(n, k), else one unrank and one j-rank pass, trial b's
-j-sets offset by b * C(n, j)), and their records equal one-trial runs.
-``sweep``, ``connprobe`` and ``smooth`` share one driver (``_static_censuses``):
-a trial's points, all on its seed, merge the new ranks ``models`` hands each
-count into one union-find per chain.
+Every runner is a pure function of its ExperimentConfig: trial t draws on
+``trial_seed(base_seed, t)``, the seed is recorded in the trial's row, and
+a re-run reproduces every record bit for bit.  The runners hand ``models``
+seeds and counts and get rank arrays back.  Trials are independent;
+``hitting`` and ``degrees`` draw batches of them in ``models`` and reduce
+them over shared arrays (``_batch_jset_ranks``: one gather from a cached
+edge-to-j-set table at small C(n, k), else one unrank and one j-rank pass,
+trial b's j-sets offset by b * C(n, j)), and their records equal one-trial
+runs.  ``sweep``, ``connprobe`` and ``smooth`` share one driver
+(``_static_censuses``): a trial's points, all on its seed, merge the new
+ranks ``models`` hands each count into one union-find per chain.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_batch, _binomial_chains, _binomial_count, _binomial_words, _process_batch, trial_seed
+from .models import _binomial_batches, _binomial_chains, _binomial_count, _process_batch, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
@@ -313,32 +313,20 @@ def _jset_table(k: int, j: int, n: int) -> np.ndarray:
 
 def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     """Sample the binomial model in the degree-s regime and compare the
-    empirical law of the degree-s count with its Poisson target.  Each
-    trial draws ``sample_binomial``'s edge count and holds the words of its
-    rank draw (``_binomial_words``); consecutive trials draw their ranks
-    together (``_binomial_batch``) and are counted together, from their
-    touched j-sets only (``_degree_counts``), in batches whose j-set ranks
-    fit a block (``block_rows(1)`` of them) and whose B * C(n, j) fits int64
-    (one trial at least), so a run holds one batch's words and arrays and
-    one count per trial."""
+    empirical law of the degree-s count with its Poisson target.  The trial
+    seeds go to ``models`` lazily, which draws consecutive trials' ranks
+    together (``_binomial_batches``); each batch is counted together, from
+    its touched j-sets only (``_degree_counts``).  A batch's j-set ranks fit
+    a block (``block_rows(1)`` of them) and its B * C(n, j) fits int64 (one
+    trial at least), so a run holds one batch's arrays and one count per
+    trial."""
     params, s, c = cfg.params, cfg.require("s"), cfg.require("c")
     p = degree_regime_p(params, s, c)
-    size, per_edge = params.num_jsets, params.jsets_per_edge
-    budget = block_rows(1)  # j-set ranks in one batch
+    seeds = (trial_seed(cfg.base_seed, t) for t in range(cfg.trials))
+    edges, trials = block_rows(1) // params.jsets_per_edge, INT64_MAX // params.num_jsets
     values: list[int] = []
-    batch: list[tuple[int, int, bytes]] = []  # (seed, edge count, first words) per trial
-    held = 0  # edges in the batch
-    for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        m, words = _binomial_words(params, p, seed)
-        if batch and ((held + m) * per_edge > budget or (len(batch) + 1) * size > INT64_MAX):
-            ranks, batch, held = _binomial_batch(params, p, batch), [], 0  # the words freed before the count
-            values += _degree_counts(params, ranks, s)
-        batch.append((seed, m, words))
-        held += m
-        if held * per_edge > budget or t == cfg.trials - 1:  # a lone trial past the budget is counted (and refused) now
-            ranks, batch, held = _binomial_batch(params, p, batch), [], 0
-            values += _degree_counts(params, ranks, s)
+    for ranks in _binomial_batches(params, p, seeds, edges, trials):
+        values += _degree_counts(params, ranks, s)
     rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
     rate = poisson_limit_rate(params, s, c)
     return DegreeRunResult(s, c, p, rate, rows, tv_to_poisson(values, rate), statistics.fmean(values))

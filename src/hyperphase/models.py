@@ -13,27 +13,28 @@ reproducible from (params, p or M, seed).  Per-trial streams are split
 from a base seed as ``trial_seed(base, index) = base + index``; MT19937's
 seed scrambling makes nearby integer seeds independent streams.
 
-Distinct edges are drawn by unranking: uniform ranks in [0, C(n, k)) from
-repeated ``rng.randrange``, each kept unless already drawn, are sorted and
-unranked to k-sets (``Hypergraph.from_ranks``).  When M > C(n, k)/2 the
-complement is drawn instead, so rejection stays cheap.
+This module alone holds the generators, their words and the complements:
+``experiments`` and ``analysis`` hand it seeds and counts and get rank
+arrays back.  Distinct edges are drawn by unranking: uniform ranks in
+[0, C(n, k)) from repeated ``rng.randrange``, each kept unless already
+drawn, are sorted and unranked to k-sets (``Hypergraph.from_ranks``).  When
+M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
 ``first_distinct_ranks`` replays that loop's values on bulk ``getrandbits``
 draws and keeps each value's first draw with one sort of packed value/index
 keys.  It reads words past the last kept draw, so it is the generator's last
-use: every caller seeds a fresh one and drops it after.  The replay
-defines the process (``_process_ranks``, read by ``EdgeStream``) and the
-samplers: a binomial sample is its count, then that draw on the same
-generator (``_binomial_count``); a count at any p in (0, 1) reads the same
-two words, so one draw past them serves every p on a seed, and only
-``_binomial_chains`` knows which ranks make each count's sample.  Many
-small trials draw together (``_process_batch`` for ``hitting``,
-``_binomial_batch`` for ``degrees``): each trial's generator reads the
-words of the replay's first round and is dropped, and one sort of packed
-trial/value/index keys finds every trial's ranks; a trial whose first
-round holds too few values (under 0.2% at the benchmark's sizes) is
-redrawn alone.  The
-replay is exact as long as ``randrange`` keeps its word use (CPython
-3.11, pinned by the tests on the running interpreter against the loop).
+use; its two callers seed a fresh one and drop it after.  ``_first_ranks``
+is every one-trial draw on a seed: the process (``EdgeStream``), uniform
+samples and sampled smoothness scores.  ``_binomial_chains`` is every
+binomial sample: its count (``_binomial_count``) reads two words at any p
+in (0, 1), so one draw past them serves every p on a seed, and only the
+chains know which ranks make each count's sample.  Many small trials
+draw together (``_process_batch`` for ``hitting``, ``_binomial_batches``
+for ``degrees``): each trial's generator reads the words of the replay's
+first round and is dropped, and one sort of packed trial/value/index keys
+finds every trial's ranks; a trial whose first round holds too few values
+(under 0.2% at the benchmark's sizes) is redrawn alone.  The replay is
+exact as long as ``randrange`` keeps its word use (CPython 3.11, pinned by
+the tests on the running interpreter against the loop).
 
 The binomial edge count M is drawn by CDF inversion carried out in log
 space (plain-space inversion underflows once the mean passes ~700), at any
@@ -147,7 +148,7 @@ class EdgeStream:
             raise StopIteration
         if self.position == len(self._ranks):
             size = min(2 * self.position + 1, self._total)
-            self._ranks = _process_ranks(self.params, self.seed, size).tolist()
+            self._ranks = _first_ranks(self._total, self.seed, size).tolist()
         r = self._ranks[self.position]
         self.position += 1
         return colex_unrank(r, self.params.k, self.params.n)
@@ -164,40 +165,52 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
     if not 0 <= M <= total:
         raise ValidationError(f"edge count M={M} outside [0, {total}]")
     check_cap("edge count m", M)
-    return Hypergraph.from_ranks(params, np.sort(_draw_distinct_ranks(random.Random(seed), total, M)))
+    draw = _first_ranks(total, seed, min(M, total - M))
+    return Hypergraph.from_ranks(params, np.sort(_distinct_ranks(draw, total, M)))
 
 
 def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
-    """Every k-set an edge independently with probability p."""
-    return Hypergraph.from_ranks(params, _binomial_ranks(params, p, seed))
+    """Every k-set an edge independently with probability p: the one-count
+    case of ``_binomial_chains``."""
+    ((_, _, ranks),) = _binomial_chains(params.num_ksets, [_binomial_count(params, p, seed)[0]], seed)
+    return Hypergraph.from_ranks(params, np.sort(ranks))
 
 
-def _binomial_ranks(params: Params, p: float, seed: int) -> np.ndarray:
-    """``sample_binomial``'s draw: its edges' colex ranks, ascending."""
-    m, rng = _binomial_count(params, p, seed)
-    return np.sort(_draw_distinct_ranks(rng, params.num_ksets, m))
-
-
-def _binomial_words(params: Params, p: float, seed: int) -> tuple[int, bytes]:
-    """``sample_binomial``'s edge count on `seed`, guardrail-checked, and the
-    words its rank draw reads first (``_round_words``), for ``_binomial_batch``."""
-    m, rng = _binomial_count(params, p, seed)
-    return m, _round_words(rng, params.num_ksets, 0, min(m, params.num_ksets - m))
-
-
-def _binomial_batch(params: Params, p: float, trials: list[tuple[int, int, bytes]]) -> list[np.ndarray]:
-    """``_binomial_ranks(params, p, seed)`` for each (seed, m, words) in
-    `trials`, m and words from ``_binomial_words``: one ``_batch_first_ranks``
-    draw, and a trial whose first round holds too few values redrawn alone."""
+def _binomial_batches(params: Params, p: float, seeds, edges: int, trials: int):
+    """Lists of ``sample_binomial``'s sorted ranks on the consecutive seeds
+    of the iterable `seeds`: at most `trials` trials and `edges` edges a
+    batch, or one trial past `edges`, yielded before the next count.  A
+    seed's count is drawn and checked before the batch it closes is
+    yielded; each batch drops its words (its trials' first rounds) first."""
     total = params.num_ksets
+    batch, held = [], 0  # (seed, edge count, first round's words) per trial; their edges
+    for seed in seeds:
+        m, rng = _binomial_count(params, p, seed)
+        if batch and (held + m > edges or len(batch) == trials):
+            ranks, batch, held = _binomial_batch(total, batch), [], 0
+            yield ranks
+        batch.append((seed, m, _round_words(rng, total, 0, min(m, total - m))))
+        held += m
+        if held > edges:
+            ranks, batch, held = _binomial_batch(total, batch), [], 0
+            yield ranks
+    if batch:
+        ranks, batch = _binomial_batch(total, batch), []
+        yield ranks
+
+
+def _binomial_batch(total: int, trials: list[tuple[int, int, bytes]]) -> list[np.ndarray]:
+    """The sorted ranks of the binomial sample of count m on seed for each
+    (seed, m, words) in `trials`: one ``_batch_first_ranks`` draw, and a
+    trial whose first round holds too few values redrawn alone, by its chain."""
     draws = _batch_first_ranks(total, [min(m, total - m) for _, m, _ in trials], [w for _, _, w in trials])
-    return [_binomial_ranks(params, p, seed) if draw is None else np.sort(_distinct_ranks(draw, total, m))
+    return [np.sort(next(_binomial_chains(total, [m], seed))[2] if draw is None else _distinct_ranks(draw, total, m))
             for (seed, m, _), draw in zip(trials, draws)]
 
 
 def _binomial_count(params: Params, p: float, seed: int) -> tuple[int, random.Random]:
     """``sample_binomial``'s edge count, guardrail-checked, and its generator,
-    whose next words the sample's rank draw reads."""
+    whose next words a batched rank draw reads (``_binomial_batches``)."""
     _validate_probability(p, "p")
     rng = random.Random(seed)
     m = _draw_binomial_count(rng, params.num_ksets, p)
@@ -224,19 +237,21 @@ def _binomial_chains(total: int, counts, seed: int):
         done = m
 
 
-def _process_ranks(params: Params, seed: int, count: int) -> np.ndarray:
-    """The colex ranks of the process's first `count` edges on `seed`, in order."""
-    return first_distinct_ranks(random.Random(seed), params.num_ksets, count)
+def _first_ranks(total: int, seed: int, count: int) -> np.ndarray:
+    """The first `count` distinct ranks in [0, total) on `seed`, in draw
+    order: the process's first `count` edges at total = C(n, k), and every
+    other one-trial draw on a fresh generator."""
+    return first_distinct_ranks(random.Random(seed), total, count)
 
 
 def _process_batch(params: Params, seeds: list[int], count: int) -> list[np.ndarray]:
-    """``_process_ranks(params, seed, count)`` for each seed: one
+    """``_first_ranks(C(n, k), seed, count)`` for each seed: one
     ``_batch_first_ranks`` draw, and a trial whose first round holds too few
     values redrawn alone."""
     total = params.num_ksets
     words = [_round_words(random.Random(seed), total, 0, count) for seed in seeds]
     draws = _batch_first_ranks(total, [count] * len(seeds), words)
-    return [_process_ranks(params, seed, count) if draw is None else draw for seed, draw in zip(seeds, draws)]
+    return [_first_ranks(total, seed, count) if draw is None else draw for seed, draw in zip(seeds, draws)]
 
 
 def second_round_probability(p: float, p0: float) -> float:
@@ -254,11 +269,6 @@ def second_round_probability(p: float, p0: float) -> float:
 def _validate_probability(p: float, name: str) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"{name}={p} outside [0, 1]")
-
-
-def _draw_distinct_ranks(rng: random.Random, total: int, count: int) -> np.ndarray:
-    """`count` distinct uniform ranks in [0, total) as int64 (``_distinct_ranks``)."""
-    return _distinct_ranks(first_distinct_ranks(rng, total, min(count, total - count)), total, count)
 
 
 def _distinct_ranks(draw: np.ndarray, total: int, count: int) -> np.ndarray:

@@ -530,7 +530,8 @@ def test_regime_advisories_become_notes(command, tmp_path):
 # config file; "{hg}" is a hypergraph sampled from it with --m 40.  The
 # hashes pin the output bytes, so an engine rewrite that changes a single
 # row, rank or float digit fails here.  "sample-m" asks for more than half
-# of the C(12, 3) = 220 edges, so it takes the complement draw;
+# of the C(12, 3) = 220 edges, so it takes the complement draw, and
+# "sample-p-complement" draws m = 179 of them, a binomial complement;
 # "smooth-sampled" has sample_cap < C(30, 1), so it scores a sample.
 # "sweep-dense" runs p from 0 to 0.817 of C(6, 2) = 15 k-sets over an
 # unsorted grid with a repeat, so its trials grow both a prefix and a
@@ -545,6 +546,11 @@ GOLDEN_STDOUT = {
         "k=3\nj=2\nn=12\nseed=7\n",
         ["sample", "--config", "{cfg}", "--m", "150"],
         "437065dacf9f1d5b5dcf0e23d91042faed5f360d653317c1706cc0026b81e493",
+    ),
+    "sample-p-complement": (
+        "k=3\nj=2\nn=12\nseed=7\n",
+        ["sample", "--config", "{cfg}", "--p", "0.8"],
+        "6d3fbe0ec69a7ca539aa057fc7929170c260a13d831575766a8376988b7aee1c",
     ),
     "components": (
         "k=3\nj=2\nn=12\nseed=7\n",

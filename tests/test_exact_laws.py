@@ -1,6 +1,7 @@
 """Exact small-n laws, from enumerating every edge set.
 
-At (2,1,5) and (3,2,5) there are C(5, k) = 10 possible edges, so all 2^10
+At (2,1,5) and (3,2,5) there are C(5, k) = 10 possible edges, and at
+(2,1,6), (4,2,6) and (4,3,6) there are C(6, k) = 15, so all 2^10 or 2^15
 edge sets can be listed.  Per edge count M this counts the j-connected sets
 and the sets with no isolated j-set, and sums |L1| and |L1|^2.  A uniform
 M-subset of the edges has the law of the process's first M edges and, mixed
@@ -8,7 +9,8 @@ over Bin(N, p), of the binomial model, so the counts give the exact
 distributions of the hitting times T_c and T_i and the exact connectivity
 probabilities and |L1| moments at any p.  The components come from a
 union-find over j-set bitmasks written here, not from the package's
-``merge_ranks``.
+``merge_ranks``: each edge set's components are those of the set without
+its lowest edge, with that edge's j-sets merged in.
 """
 
 import math
@@ -23,6 +25,7 @@ from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run
 from hyperphase.params import Params
 
 TRIALS = 2_000
+TRIALS_15 = 1_000  # the static runs at C(n, k) = 15, at half the trials to bound their time
 SEED = 1
 
 
@@ -36,12 +39,12 @@ def enumerate_laws(k, j, n):
     masks = [sum(1 << jsets[s] for s in combinations(e, j)) for e in combinations(range(1, n + 1), k)]
     full = (1 << len(jsets)) - 1
     connected, no_isolated, l1_sum, l1_squares = ([0] * (len(masks) + 1) for _ in range(4))
-    for chosen in range(1 << len(masks)):
-        parts = []  # disjoint j-set bitmasks of the non-trivial components
-        for e, mask in enumerate(masks):
-            if chosen >> e & 1:
-                joined = [p for p in parts if p & mask]
-                parts = [p for p in parts if not p & mask] + [sum(joined, 0) | mask]
+    parts_of = [[]]  # per edge set, the disjoint j-set bitmasks of its non-trivial components
+    for chosen in range(1, 1 << len(masks)):
+        low = chosen & -chosen
+        mask, rest = masks[low.bit_length() - 1], parts_of[chosen ^ low]
+        parts_of.append([p for p in rest if not p & mask] + [sum((p for p in rest if p & mask), 0) | mask])
+    for chosen, parts in enumerate(parts_of):
         covered = sum(parts, 0)  # the parts are disjoint, so their sum is their union
         m = chosen.bit_count()
         no_isolated[m] += covered == full
@@ -67,7 +70,9 @@ def mixture(counts, p):
     return sum(c * p**m * (1 - p) ** (big_n - m) for m, c in enumerate(counts))
 
 
-@pytest.mark.parametrize("params", [Params(2, 1, 5), Params(3, 2, 5)])
+@pytest.mark.parametrize(
+    "params", [Params(2, 1, 5), Params(3, 2, 5), Params(2, 1, 6), Params(4, 2, 6), Params(4, 3, 6)]
+)
 def test_hitting_time_laws(params):
     # T <= M exactly when the first M edges have the (monotone) property
     connected, no_isolated, _, _ = enumerate_laws(params.k, params.j, params.n)
@@ -77,21 +82,32 @@ def test_hitting_time_laws(params):
     assert ks_distance([r.t_i for r in records], no_isolated) <= bound
 
 
-def test_connectivity_probe_laws():
-    params = Params(3, 2, 5)
+def check_probe_laws(params, omega, trials):
+    """Both sides' connected and isolated fractions against the exact laws."""
     connected, no_isolated, _, _ = enumerate_laws(params.k, params.j, params.n)
-    cfg = ExperimentConfig(params, RegimeParams(omega=1.0), trials=TRIALS, base_seed=SEED)
+    cfg = ExperimentConfig(params, RegimeParams(omega=omega), trials=trials, base_seed=SEED)
     res = run_connectivity_probe(cfg)
     for side in (res.below, res.above):
         for observed, exact in (
             (side.fraction_connected, mixture(connected, side.p)),
             (side.fraction_isolated, 1 - mixture(no_isolated, side.p)),
         ):
-            z = (observed - exact) / math.sqrt(exact * (1 - exact) / TRIALS)
+            z = (observed - exact) / math.sqrt(exact * (1 - exact) / trials)
             assert abs(z) <= 4, (side.label, observed, exact)
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 5)])
+def test_connectivity_probe_laws():
+    check_probe_laws(Params(3, 2, 5), 1.0, TRIALS)
+
+
+@pytest.mark.parametrize(  # at (4,3,6) omega = 1 puts p above 1
+    "params,omega", [(Params(2, 1, 6), 1.0), (Params(4, 2, 6), 1.0), (Params(4, 3, 6), 0.5)]
+)
+def test_connectivity_probe_laws_at_15_edges(params, omega):
+    check_probe_laws(params, omega, TRIALS_15)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (2, 6)])
 def test_isolated_vertex_inclusion_exclusion(k, n):
     # j = 1: M edges miss a given set of r vertices in C(C(n - r, k), M) ways
     _, no_isolated, _, _ = enumerate_laws(k, 1, n)
@@ -100,20 +116,43 @@ def test_isolated_vertex_inclusion_exclusion(k, n):
         assert law == count
 
 
-@pytest.mark.parametrize(
-    "params,eps_grid", [(Params(3, 2, 5), (-0.5, 1.0, 4.0, 6.0)), (Params(2, 1, 5), (-0.5, 0.5, 1.5, 3.0))]
-)
-def test_phase_sweep_mean_largest_law(params, eps_grid):
-    # p straddles 1/2, so the trials grow both a prefix and a complement chain
+def test_spanning_trees_follow_cayley():
+    # n - 1 edges join the n vertices of a graph exactly as a spanning tree: n^(n - 2) of them
+    for n in (5, 6):
+        assert enumerate_laws(2, 1, n)[0][n - 1] == n ** (n - 2)
+
+
+def check_sweep_law(params, eps_grid, trials):
+    """Each point's mean |L1| against the exact law.  The grid's p straddles
+    1/2, so the trials grow both a prefix and a complement chain."""
     _, _, l1_sum, l1_squares = enumerate_laws(params.k, params.j, params.n)
-    points = run_phase_sweep(ExperimentConfig(params, trials=TRIALS, base_seed=SEED, eps_grid=eps_grid))
+    points = run_phase_sweep(ExperimentConfig(params, trials=trials, base_seed=SEED, eps_grid=eps_grid))
     assert min(point.p for point in points) < 0.5 < max(point.p for point in points)
     for point in points:
         exact = mixture(l1_sum, point.p)
         variance = mixture(l1_squares, point.p) - exact**2
-        observed = sum(trial.largest for trial in point.trials) / TRIALS
-        z = (observed - exact) / math.sqrt(variance / TRIALS)
+        observed = sum(trial.largest for trial in point.trials) / trials
+        z = (observed - exact) / math.sqrt(variance / trials)
         assert abs(z) <= 4, (point.eps, observed, exact)
+
+
+@pytest.mark.parametrize(
+    "params,eps_grid", [(Params(3, 2, 5), (-0.5, 1.0, 4.0, 6.0)), (Params(2, 1, 5), (-0.5, 0.5, 1.5, 3.0))]
+)
+def test_phase_sweep_mean_largest_law(params, eps_grid):
+    check_sweep_law(params, eps_grid, TRIALS)
+
+
+@pytest.mark.parametrize(  # p_g = 1/6, 1/75 and 1/18
+    "params,eps_grid",
+    [
+        (Params(2, 1, 6), (-0.5, 0.5, 1.5, 3.0)),
+        (Params(4, 2, 6), (-0.5, 4.0, 20.0, 45.0)),
+        (Params(4, 3, 6), (-0.5, 1.0, 5.0, 12.0)),
+    ],
+)
+def test_phase_sweep_mean_largest_law_at_15_edges(params, eps_grid):
+    check_sweep_law(params, eps_grid, TRIALS_15)
 
 
 # 99.99% quantiles of chi-square, frozen (degrees of freedom: value)

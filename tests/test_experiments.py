@@ -122,6 +122,55 @@ def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, blo
     assert sides == {False, True}
 
 
+def walk_partition(edges, jsets):
+    """Every j-component of `edges` as a frozenset of j-set tuples, each
+    j-set of `jsets` in one (the isolated ones alone): a walk over a dict
+    from j-set to the edges through it, with no ranks and no numpy."""
+    j, through, parts, seen = len(jsets[0]), {}, set(), set()
+    for edge in edges:
+        for s in combinations(edge, j):
+            through.setdefault(s, []).append(edge)
+    for start in jsets:
+        if start in seen:
+            continue
+        part, stack = {start}, [start]
+        while stack:
+            for edge in through.pop(stack.pop(), ()):
+                fresh = set(combinations(edge, j)) - part
+                part |= fresh
+                stack += fresh
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
+# (params, ps, _BATCH_RANKS, seeds): (3,2,100) near p_c and (3,2,150) near
+# p_g, thousands of edges a point over several blocks, then many blocks of
+# a few rows; (3,2,6) over both sides of C(6, 3) / 2, so that the trials
+# grow a complement chain after a prefix chain
+SCALE_CASES = [
+    (Params(3, 2, 100), (0.085, 0.1, 0.094), components._BATCH_RANKS, (1, 2)),
+    (Params(3, 2, 150), (0.0031, 0.0037, 0.0034), 30, (1,)),
+    (Params(3, 2, 6), (0.25, 0.55, 0.8), 5, range(25)),
+]
+
+
+@pytest.mark.parametrize("params,ps,block,seeds", SCALE_CASES, ids=[f"{p.k}-{p.j}-{p.n}" for p, *_ in SCALE_CASES])
+def test_static_union_finds_match_an_edge_walk(monkeypatch, params, ps, block, seeds):
+    # the full partition at every chain point against walk_partition over
+    # the point's own sample: the merge kernel, the j-set ranks and the
+    # block boundaries are checked against code that uses none of them
+    monkeypatch.setattr(components, "_BATCH_RANKS", block)
+    jsets = sorted(combinations(range(1, params.n + 1), params.j), key=lambda s: s[::-1])  # colex order
+    for seed in seeds:
+        counts = [models._binomial_count(params, p, seed)[0] for p in ps]
+        for i, uf in experiments._static_union_finds(params, counts, seed):
+            parts = {frozenset(jsets[r] for r in part) for part in uf.partition()}
+            covered = set().union(*parts)
+            parts |= {frozenset([s]) for s in jsets if s not in covered}
+            assert parts == walk_partition(sample_binomial(params, ps[i], seed).edges, jsets), (seed, ps[i])
+
+
 def test_static_trials_draw_once_and_merge_each_rank_once(monkeypatch):
     # the golden "sweep-dense" run: C(6, 2) = 15 k-sets, p from 0 to 0.817
     params, eps_grid = Params(2, 1, 6), (3.9, -1, -0.5, 1.5, 0.5, 2.5, 1.5)

@@ -113,21 +113,23 @@ def test_hypergraph_from_ranks_equals_the_edge_form():
 
 @pytest.mark.parametrize("M", [0, 1, 40, 60, 61, 100, 120])
 def test_samplers_build_the_edge_form_from_sorted_ranks(M):
-    # each sample equals the edge-form Hypergraph of its draw-order ranks;
-    # M > C(10, 3) / 2 = 60 takes the complement draw, already ascending
+    # each sample equals the edge-form Hypergraph of the randrange loop's
+    # ranks; M > C(10, 3) / 2 = 60 takes the complement draw.  The binomial
+    # oracle counts and draws on one generator, where the sampler's chain
+    # draws on a fresh one past the count's random()
     params = Params(3, 2, 10)
     total = params.num_ksets
+
+    def edge_form(ranks):
+        return Hypergraph(params, models.colex_unrank_array(np.array(ranks, dtype=np.int64), params.k, params.n))
+
     for seed in range(3):
-        ranks = models._draw_distinct_ranks(random.Random(seed), total, M)
-        expected = Hypergraph(params, models.colex_unrank_array(ranks, params.k, params.n))
+        expected = edge_form(loop_distinct(random.Random(seed), total, M))
         h = sample_uniform(params, M, seed)
         assert h == expected and np.array_equal(h.array, expected.array)
-        if M > total // 2:
-            assert (np.diff(ranks) > 0).all()
     for p in (0.0, 0.05, 0.3, 0.7, 1.0):
         rng = random.Random(M)
-        ranks = models._draw_distinct_ranks(rng, total, models._draw_binomial_count(rng, total, p))
-        expected = Hypergraph(params, models.colex_unrank_array(ranks, params.k, params.n))
+        expected = edge_form(loop_distinct(rng, total, models._draw_binomial_count(rng, total, p)))
         h = sample_binomial(params, p, M)
         assert h == expected and np.array_equal(h.array, expected.array)
 
@@ -303,6 +305,15 @@ def scalar_first_distinct(rng, total, count):
     return out
 
 
+def loop_distinct(rng, total, count):
+    """`count` distinct ranks by the loop: its first `count`, or past
+    total // 2 the ascending complement of its first total - count."""
+    if count > total // 2:
+        excluded = set(scalar_first_distinct(rng, total, total - count))
+        return [r for r in range(total) if r not in excluded]
+    return scalar_first_distinct(rng, total, count)
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 10**12, 2**63 - 1])
 def test_rank_replay_matches_randrange_loop(total):
     for seed in (0, 1, 2024):
@@ -377,18 +388,20 @@ def test_batch_draw_equals_one_trial_draws(total, batch):
 
 def test_batched_samples_redraw_short_trials():
     # the batched process prefixes and binomial samples equal one-trial
-    # draws; all 91 of 91 needs more than one round, so it is redrawn
+    # draws by the loop, a binomial one counting and drawing on one
+    # generator; all 91 of 91 needs more than one round, so it is redrawn
     params = Params(2, 1, 14)  # C(14, 2) = 91 k-sets
     seeds = [3, 4, 3, 5]
     words = [models._round_words(random.Random(s), 91, 0, 91) for s in seeds]
     assert models._batch_first_ranks(91, [91] * len(seeds), words) == [None] * len(seeds)
     for count in (0, 1, 45, 46, 85, 91):
-        assert all(np.array_equal(a, models._process_ranks(params, s, count))
-                   for s, a in zip(seeds, models._process_batch(params, seeds, count)))
+        assert [a.tolist() for a in models._process_batch(params, seeds, count)] == [
+            scalar_first_distinct(random.Random(s), 91, count) for s in seeds]
     for p in (0.0, 0.3, 0.5, 0.93, 1.0):
-        trials = [(s, *models._binomial_words(params, p, s)) for s in seeds]
-        assert all(np.array_equal(a, models._binomial_ranks(params, p, s))
-                   for s, a in zip(seeds, models._binomial_batch(params, p, trials)))
+        (batch,) = models._binomial_batches(params, p, seeds, 91 * len(seeds), len(seeds))
+        rngs = [random.Random(s) for s in seeds]
+        counts = [models._draw_binomial_count(rng, 91, p) for rng in rngs]
+        assert [a.tolist() for a in batch] == [sorted(loop_distinct(rng, 91, m)) for rng, m in zip(rngs, counts)]
 
 
 @pytest.mark.parametrize("total", [1, 7, 100, 4060])
@@ -427,16 +440,11 @@ def test_stream_equals_randrange_loop_across_refills(k, n):
 
 @pytest.mark.parametrize("total", [7, 100, 4099])
 def test_complement_rank_draw_matches_randrange_loop(total):
+    # the uniform sampler's ranks in draw order, complemented past total // 2
     for seed in range(3):
         for count in (total // 2, total // 2 + 1, total - 1, total):
-            drawn, loop = random.Random(seed), random.Random(seed)
-            ranks = models._draw_distinct_ranks(drawn, total, count)
-            if count > total // 2:
-                excluded = set(scalar_first_distinct(loop, total, total - count))
-                expected = [r for r in range(total) if r not in excluded]
-            else:
-                expected = scalar_first_distinct(loop, total, count)
-            assert ranks.dtype == np.int64 and ranks.tolist() == expected
+            ranks = models._distinct_ranks(models._first_ranks(total, seed, min(count, total - count)), total, count)
+            assert ranks.dtype == np.int64 and ranks.tolist() == loop_distinct(random.Random(seed), total, count)
 
 
 @pytest.mark.parametrize("total", [1, 2, 7, 15, 220])

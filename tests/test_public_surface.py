@@ -70,8 +70,12 @@ def test_record_fields():
 
 
 def test_experiments_hold_no_sample_rule():
-    # generators, rank draws, prefixes and complements live in models; the
-    # drivers batch trials and hand models their seeds and counts
-    source = (Path(hyperphase.__file__).parent / "experiments.py").read_text(encoding="utf-8")
-    for word in ("random", "getrandbits", "first_distinct_ranks", "_distinct_ranks", "// 2"):
-        assert word not in source, word
+    # generators, their words, rank draws, prefixes and complements live in
+    # models; the drivers and the smoothness score hand models seeds and
+    # counts and get rank arrays back
+    words = ("random", "Random", "getrandbits", "first_distinct_ranks", "_distinct_ranks", "// 2", "bytes",
+             "_round_words")
+    for module in ("experiments.py", "analysis.py"):
+        source = (Path(hyperphase.__file__).parent / module).read_text(encoding="utf-8")
+        for word in words:
+            assert word not in source, (module, word)

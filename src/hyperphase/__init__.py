@@ -36,7 +36,6 @@ from .components import (
     ComponentSummary,
     ExplorationRecord,
     JSetUnionFind,
-    bfs_components,
     bfs_explore,
     component_summary,
     largest_component_jsets,

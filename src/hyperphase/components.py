@@ -7,19 +7,17 @@ j-connected through that edge alone, and two edges intersect in >= j
 vertices exactly when they share a full j-set.  Merging every applied
 edge's j-subsets therefore produces precisely the transitive closure of
 the walk relation.  The engine has one merge kernel, ``merge_ranks``: it
-labels the rows of an int64 j-set rank array by hook-and-compress.
-``JSetUnionFind.apply_ranks`` wraps it: ``apply_edge`` ranks one edge with
-``colex_rank``, and ``component_summary`` ranks a ``Hypergraph.array`` with
-``jset_rank_array`` in blocks of ``block_rows`` edges, as the static runs
-do; ``hitting`` calls it on one label array per batch of trials.
-``bfs_components`` and ``bfs_explore`` hold no ranks: they walk j-set
-tuples.  ``bfs_components`` recomputes components from pairwise edge
-intersections and exists to cross-check that equivalence, not to restate it.
+labels the rows of an int64 j-set rank array by hook-and-compress, and a
+round that hooks fewer ranks than there are labels pointer-jumps only the
+roots it hooked.  ``JSetUnionFind.apply_ranks`` wraps it: ``apply_edge``
+ranks one edge with ``colex_rank``, and ``component_summary`` ranks a
+``Hypergraph.array`` with ``jset_rank_array`` in blocks of ``block_rows``
+edges, as the static runs do; ``hitting`` calls it on one label array per
+batch of trials.  ``bfs_explore`` holds no ranks: it walks j-set tuples.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,11 +25,10 @@ import numpy as np
 
 from .combinatorics import Edge, JSet, colex_rank, colex_unrank_array, jset_rank_array, max_jsets_cap, validate_subset
 from .combinatorics import colex_unrank  # unused: bench/tracing.py binds it (ROADMAP item 1)
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .models import Hypergraph
 from .params import Params
 
-BFS_ORACLE_MAX_JSETS = 10_000
 _BATCH_RANKS = 2**13  # int64 j-set ranks in one block: 64 KiB, under glibc's 128 KiB mmap threshold
 
 
@@ -138,17 +135,39 @@ def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     (Shiloach & Vishkin 1982): each round hooks the roots of every row still
     split to their smallest, then pointer-jumps, and the loop ends at the
     first round with none split.  Roots only ever point down, so no cycle
-    forms, and each round retires a root per split row."""
+    forms, and each round retires a root per split row.
+
+    ``_compress`` gathers every label about three times a round, however
+    few roots the round hooked.  So a round whose split rows hold fewer
+    ranks than there are labels (a late round of a large merge, or one
+    ``apply_edge``) compresses only what it hooked.  A hooked root points at
+    the smallest ``low`` of its split rows, a chain from it passes only
+    through ``low`` values, and every other label is an old root or points
+    at one.  Chasing the lows to their roots (writing each step back), then
+    pointing each hooked root at its low's root, then one gather leave every
+    label at the smallest rank of its set, as ``_compress`` does.  A round
+    with at least as many split ranks as labels keeps ``_compress``: there
+    the chase over its rows costs more than the full gathers."""
     pending = np.ascontiguousarray(ranks.T)  # (r, rows not yet inside one set)
     while True:
         roots = labels[pending]
         low = roots.min(axis=0)
         split = low != roots.max(axis=0)
-        if not np.count_nonzero(split):  # ndarray.any would map ~128 KB more of numpy
+        count = np.count_nonzero(split)  # ndarray.any would map ~128 KB more of numpy
+        if not count:
             return labels
         for row in roots:  # row by row, so no tile of `low` is allocated
             np.minimum.at(labels, row, low)
-        labels = _compress(labels)
+        if count * len(roots) < len(labels):
+            lows = low.compress(split)
+            up = labels[lows]
+            while not np.array_equal(grand := labels[up], up):
+                labels[lows] = up = grand
+            hooked = roots.compress(split, axis=1)
+            labels[hooked] = labels[labels[hooked]]
+            labels = labels[labels]
+        else:
+            labels = _compress(labels)
         pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
 
 
@@ -186,49 +205,6 @@ def largest_component_jsets(h: Hypergraph) -> np.ndarray:
     """All j-sets of the largest component as the rows of a (|L1|, j) int64
     array, ascending by colex rank; (0, j) if `h` has no edges."""
     return colex_unrank_array(_union_find(h).largest_component_ranks(), h.params.j, h.params.n)
-
-
-def bfs_components(h: Hypergraph) -> list[frozenset[JSet]]:
-    """Reference component computation straight from the walk definition.
-
-    Builds the graph whose nodes are edges, adjacent when they intersect in
-    >= j vertices, floods it, and collects each edge-group's j-subsets.
-    Intended for small instances; the result partition must match the
-    union-find engine's exactly.
-    """
-    total = h.params.num_jsets
-    if total > BFS_ORACLE_MAX_JSETS:
-        raise ResourceLimitError(
-            f"bfs_components is capped at {BFS_ORACLE_MAX_JSETS} j-sets, instance has {total}"
-        )
-    j = h.params.j
-    edges = h.edges
-    m = len(edges)
-    vertex_sets = [set(e) for e in edges]
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for a in range(m):
-        va = vertex_sets[a]
-        for b in range(a + 1, m):
-            if len(va & vertex_sets[b]) >= j:
-                adj[a].append(b)
-                adj[b].append(a)
-    assigned = [False] * m
-    components: list[frozenset[JSet]] = []
-    for start in range(m):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        queue = deque([start])
-        group: set[JSet] = set()
-        while queue:
-            e = queue.popleft()
-            group.update(combinations(edges[e], j))
-            for f in adj[e]:
-                if not assigned[f]:
-                    assigned[f] = True
-                    queue.append(f)
-        components.append(frozenset(group))
-    return sorted(components, key=lambda c: min(s[::-1] for s in c))  # colex order
 
 
 def bfs_explore(

@@ -20,7 +20,7 @@ from hyperphase.analysis import (
     thresholds,
 )
 from hyperphase.combinatorics import binomial, colex_rank, colex_unrank
-from hyperphase.components import JSetUnionFind, bfs_components, component_summary
+from hyperphase.components import JSetUnionFind, component_summary
 from hyperphase.experiments import (
     ExperimentConfig,
     run_connectivity_probe,
@@ -31,6 +31,7 @@ from hyperphase.experiments import (
 )
 from hyperphase.models import sample_binomial, second_round_probability
 from hyperphase.params import Params
+from oracles import bfs_components
 
 
 def report(criterion, ok, detail):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hyperphase.combinatorics import binomial, colex_rank, colex_unrank, jset_rank_array
 from hyperphase.components import (
     JSetUnionFind,
-    bfs_components,
     bfs_explore,
     component_summary,
     largest_component_jsets,
@@ -20,8 +19,9 @@ from hyperphase import components, experiments
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.analysis import RegimeParams
 from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run_degree_experiment, run_hitting_time
-from hyperphase.models import Hypergraph, process_stream, sample_binomial
+from hyperphase.models import Hypergraph, process_stream, sample_binomial, sample_uniform
 from hyperphase.params import Params
+from oracles import bfs_components, rank_union_find_labels
 
 
 def closure_components(params, edges):
@@ -77,6 +77,24 @@ def test_dsu_footprint_per_jset():
     finally:
         tracemalloc.stop()
     assert peak / params.num_jsets <= 8.5
+
+
+def test_sparse_merge_footprint_is_one_label_array():
+    # 40 edges among 44,850 j-sets hook 120 ranks: the round compresses only
+    # what it hooked, then gathers the labels once.  Past that one label
+    # array it holds copies of its rows (pending, roots, the hooked roots and
+    # their gathers) and arrays of its lows: 16 int64 per rank bounds them.
+    params = Params(3, 2, 300)
+    rows = jset_rank_array(sample_uniform(params, 40, 1).array, params.j, params.n)
+    labels = np.arange(params.num_jsets)
+    tracemalloc.start()
+    try:
+        labels = merge_ranks(labels, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (params.num_jsets + 16 * rows.size)
+    assert np.array_equal(labels[rows], labels[rows[:, :1]].repeat(3, axis=1))  # each edge in one set
 
 
 def test_hitting_footprint_is_one_batch():
@@ -390,6 +408,88 @@ def test_merge_ranks_keeps_offset_blocks_apart(hs, data):
         uf = JSetUnionFind(params)
         uf.apply_ranks(jset_rank_array(h.array, params.j, params.n))
         assert np.array_equal(labels[b * size:(b + 1) * size], uf._labels + b * size)
+
+
+def descending_path_rows(nodes, run):
+    """Rows of three consecutive nodes along a path through `nodes`, laid
+    out as descending runs of `run` nodes: a run hooks into two chains
+    `run` / 2 deep, and the runs join over later rounds."""
+    path = [x for i in range(0, len(nodes), run) for x in sorted(nodes[i:i + run], reverse=True)]
+    return [path[i:i + 3] for i in range(len(path) - 2)]
+
+
+class CountingNumpy:
+    """numpy for ``components``, counting the kernel's rounds (one
+    ``count_nonzero`` each) and failing a merge that does not converge."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        self.rounds += 1
+        assert self.rounds <= 100, "merge_ranks did not converge"
+        return np.count_nonzero(a)
+
+
+def test_merge_ranks_equals_a_scalar_union_find(monkeypatch):
+    # each case against rank_union_find_labels; a round that calls _compress
+    # took the full branch, and labels that changed after the last such call
+    # went through the subset branch
+    compressed, compress, counter = [], components._compress, CountingNumpy()
+
+    def spy_compress(parent):
+        compressed.append(compress(parent))
+        return compressed[-1].copy()  # the kernel writes its labels in place
+
+    def merge(labels, rows):
+        compressed.clear()
+        counter.rounds = 0
+        got = merge_ranks(np.array(labels, dtype=np.int64), np.array(rows, dtype=np.int64))
+        assert got.tolist() == rank_union_find_labels(labels, rows)
+        branches = {"full"} if compressed else set()
+        if not np.array_equal(compressed[-1] if compressed else labels, got):
+            branches.add("subset")
+        return got.tolist(), branches, counter.rounds - 1  # the last round finds none split
+
+    monkeypatch.setattr(components, "_compress", spy_compress)
+    monkeypatch.setattr(components, "np", counter)
+    rng = random.Random(1)
+    # (a) 3,000 nodes of a descending-run path among 20,000 labels: chains
+    # 20 deep, and the runs join over five rounds
+    assert merge(list(range(20_000)), descending_path_rows(rng.sample(range(20_000), 3_000), 40))[1:] == ({"subset"}, 5)
+    # (b) one descending run through 60 labels: 58 rows, one round, chains 30 deep
+    assert merge(list(range(60)), descending_path_rows(list(range(60)), 60))[1:] == ({"full"}, 1)
+    # (c) labels pre-merged in pairs, then 250 disjoint rows and a path: full, then subset
+    perm, labels = rng.sample(range(900), 900), [0] * 900
+    for a, b in zip(perm[::2], perm[1::2]):
+        labels[a] = labels[b] = min(a, b)
+    perm = rng.sample(range(900), 900)
+    rows = [perm[i:i + 3] for i in range(0, 750, 3)] + descending_path_rows(rng.sample(range(900), 60), 10)
+    assert merge(labels, rows)[1] == {"full", "subset"}
+    # (d) three (3,2,30) trials on one offset label array, as the hitting
+    # batches merge them: all but each trial's last three edges, then one
+    # edge per trial a call
+    params = Params(3, 2, 30)
+    blocks = [(jset_rank_array(sample_binomial(params, 0.05, seed).array, 2, 30) + b * 435).tolist()
+              for b, seed in enumerate((1, 2, 3))]
+    labels, branches, _ = merge(list(range(3 * 435)), [row for block in blocks for row in block[:-3]])
+    assert "full" in branches
+    steps = set()
+    for t in (-3, -2, -1):
+        labels, branches, _ = merge(labels, [block[t] for block in blocks])
+        steps |= branches
+    assert steps == {"subset"}
+    # (e) 50 descending runs of seven nodes, each node the root of a pair
+    # whose other member is in no row: one round hooks chains three deep,
+    # and only the round's compress reaches the other members
+    nodes, others, labels = rng.sample(range(1_000), 350), rng.sample(range(1_000, 2_000), 350), list(range(2_000))
+    for v, w in zip(nodes, others):
+        labels[w] = v
+    rows = [row for i in range(0, 350, 7) for row in descending_path_rows(nodes[i:i + 7], 7)]
+    assert merge(labels, rows)[1:] == ({"subset"}, 1)
 
 
 @given(small_instances())

@@ -25,6 +25,7 @@ from hyperphase.experiments import (
 )
 from hyperphase.models import Hypergraph, first_distinct_ranks, process_stream, sample_binomial
 from hyperphase.params import Params
+from oracles import walk_partition
 
 
 def test_aggregate_examples():
@@ -120,28 +121,6 @@ def test_static_union_finds_equal_per_point_samples(monkeypatch, params, ps, blo
         assert [samples[i].m for i in order] == sorted(h.m for h in samples)  # count order
         sides.update(h.m > total // 2 for h in samples)
     assert sides == {False, True}
-
-
-def walk_partition(edges, jsets):
-    """Every j-component of `edges` as a frozenset of j-set tuples, each
-    j-set of `jsets` in one (the isolated ones alone): a walk over a dict
-    from j-set to the edges through it, with no ranks and no numpy."""
-    j, through, parts, seen = len(jsets[0]), {}, set(), set()
-    for edge in edges:
-        for s in combinations(edge, j):
-            through.setdefault(s, []).append(edge)
-    for start in jsets:
-        if start in seen:
-            continue
-        part, stack = {start}, [start]
-        while stack:
-            for edge in through.pop(stack.pop(), ()):
-                fresh = set(combinations(edge, j)) - part
-                part |= fresh
-                stack += fresh
-        seen |= part
-        parts.add(frozenset(part))
-    return parts
 
 
 # (params, ps, _BATCH_RANKS, seeds): (3,2,100) near p_c and (3,2,150) near

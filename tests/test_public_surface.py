@@ -19,7 +19,7 @@ EXPORTS = [
     "ExplorationRecord", "GWResult", "HittingRecord", "Hypergraph", "JSetUnionFind",
     "MAX_JSETS_ENV", "Params", "ParseError", "RegimeParams", "ResourceLimitError",
     "SmoothnessReport", "SmoothnessTrial", "Stats", "SweepPoint", "Thresholds",
-    "ValidationError", "aggregate", "bfs_components", "bfs_explore", "binomial",
+    "ValidationError", "aggregate", "bfs_explore", "binomial",
     "colex_rank", "colex_unrank", "colex_unrank_array", "component_summary",
     "degree_profile", "degree_regime_p", "gw_survival", "jset_rank_array",
     "largest_component_jsets", "max_jsets_cap", "parse_config", "parse_hypergraph",

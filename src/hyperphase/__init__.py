@@ -8,7 +8,6 @@ Monte Carlo experiment drivers.
 from .analysis import (
     DegreeProfile,
     GWResult,
-    RegimeParams,
     SmoothnessReport,
     Thresholds,
     degree_profile,

@@ -20,6 +20,7 @@ from .params import Params
 
 GW_TOL = 1e-12
 GW_MAX_ITERATIONS = 1000
+SWEEP_DELTA = 0.25  # exponent constant of the sweep-regime check eps^2 * n^(1 - 2 delta)
 
 
 @dataclass(frozen=True)
@@ -28,25 +29,6 @@ class Thresholds:
 
     p_g: float
     p_c: float
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    """Regime constants for concrete runs.
-
-    eps: signed distance from p_g for phase sweeps; gamma: supercritical
-    margin for smoothness probes; omega: offset from p_c for connectivity
-    probes; s, c: degree class and limit constant for degree runs; delta:
-    exponent constant in the sweep-regime check.  Fields are None until a
-    run needs them.
-    """
-
-    eps: float | None = None
-    gamma: float | None = None
-    omega: float | None = None
-    s: int | None = None
-    c: float | None = None
-    delta: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -231,24 +213,23 @@ def gw_survival(params: Params, p: float) -> GWResult:
     )
 
 
-def regime_advisories(params: Params, regime: RegimeParams) -> list[str]:
-    """Advisory notes for parameters outside the asymptotic regime.
+def regime_advisories(params: Params, eps: float | None = None, gamma: float | None = None) -> list[str]:
+    """Advisory notes for a sweep distance `eps` from p_g and a smoothness
+    margin `gamma` outside the asymptotic regime (None: not checked).
 
     Checks are heuristic scale requirements; they never block a run.
     """
     msgs: list[str] = []
     n, j = params.n, params.j
-    if regime.eps is not None:
-        e = abs(regime.eps)
+    if eps is not None:
+        e = abs(eps)
         if e**3 * n**j < 100:
             msgs.append(f"eps^3 * n^j = {e ** 3 * n ** j:.3g} < 100: sweep regime is marginal")
-        if e**2 * n ** (1 - 2 * regime.delta) < 100:
+        if e**2 * n ** (1 - 2 * SWEEP_DELTA) < 100:
             msgs.append(
-                f"eps^2 * n^(1-2*delta) = {e ** 2 * n ** (1 - 2 * regime.delta):.3g} < 100: "
+                f"eps^2 * n^(1-2*delta) = {e ** 2 * n ** (1 - 2 * SWEEP_DELTA):.3g} < 100: "
                 "sweep regime is marginal"
             )
-    if regime.gamma is not None and regime.gamma**3 * n < 100:
-        msgs.append(
-            f"gamma^3 * n = {regime.gamma ** 3 * n:.3g} < 100: smoothness regime is marginal"
-        )
+    if gamma is not None and gamma**3 * n < 100:
+        msgs.append(f"gamma^3 * n = {gamma ** 3 * n:.3g} < 100: smoothness regime is marginal")
     return msgs

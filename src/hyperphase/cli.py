@@ -121,9 +121,10 @@ def _render_rows(columns: list[str], rows: list[list[object]], args: argparse.Na
     return write_csv(columns, rows)
 
 
-def _advisory_notes(cfg: ExperimentConfig, regimes) -> list[str]:
-    """Each distinct regime advisory over `regimes` as a note, in first-seen order."""
-    notes = [f"advisory: {msg}" for r in regimes for msg in regime_advisories(cfg.params, r)]
+def _advisory_notes(cfg: ExperimentConfig, eps_values) -> list[str]:
+    """Each distinct regime advisory over `eps_values`, at the config's
+    gamma, as a note, in first-seen order."""
+    notes = [f"advisory: {msg}" for eps in eps_values for msg in regime_advisories(cfg.params, eps, cfg.gamma)]
     return list(dict.fromkeys(notes))
 
 
@@ -227,8 +228,7 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
             f"eps={pt.eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
-    advisories = _advisory_notes(cfg, [replace(cfg.regime, eps=eps) for eps in cfg.eps_grid])
-    return _render_rows(columns, rows, args), notes + advisories
+    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, cfg.eps_grid)
 
 
 def _cmd_hitting(args) -> tuple[str, list[str]]:
@@ -283,7 +283,7 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
         )
     flagged = sum(not tr.l1_size for tr in trials)
     notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
-    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, [cfg.regime])
+    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, [cfg.eps])
 
 
 _HANDLERS = {

@@ -36,7 +36,6 @@ from .errors import ResourceLimitError, ValidationError
 DEFAULT_MAX_JSETS = 200_000_000
 MAX_JSETS_ENV = "HYPERPHASE_MAX_JSETS"
 
-VertexId = int
 JSet = tuple[int, ...]
 Edge = tuple[int, ...]
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .combinatorics import Edge, JSet, colex_rank, colex_unrank_array, jset_rank_array, max_jsets_cap, validate_subset
 from .combinatorics import colex_unrank  # unused: bench/tracing.py binds it (ROADMAP item 1)
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .models import Hypergraph
 from .params import Params
 
@@ -135,7 +135,8 @@ def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     (Shiloach & Vishkin 1982): each round hooks the roots of every row still
     split to their smallest, then pointer-jumps, and the loop ends at the
     first round with none split.  Roots only ever point down, so no cycle
-    forms, and each round retires a root per split row.
+    forms, and each round retires a root per split row, so a merge that
+    has not ended after one round per label raises ``ConvergenceError``.
 
     ``_compress`` gathers every label about three times a round, however
     few roots the round hooked.  So a round whose split rows hold fewer
@@ -149,7 +150,7 @@ def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     with at least as many split ranks as labels keeps ``_compress``: there
     the chase over its rows costs more than the full gathers."""
     pending = np.ascontiguousarray(ranks.T)  # (r, rows not yet inside one set)
-    while True:
+    for _ in range(len(labels) + 1):
         roots = labels[pending]
         low = roots.min(axis=0)
         split = low != roots.max(axis=0)
@@ -169,6 +170,7 @@ def merge_ranks(labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         else:
             labels = _compress(labels)
         pending = pending.compress(split, axis=1)  # compress keeps rows contiguous
+    raise ConvergenceError(f"merge of {len(labels)} labels still split after {len(labels) + 1} rounds")
 
 
 def block_rows(ranks_per_row: int) -> int:

@@ -19,12 +19,11 @@ import functools
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
-    RegimeParams,
     SmoothnessReport,
     degree_profile,  # unused: bench/tracing.py binds it until ROADMAP item 1 retargets the tracer
     degree_regime_p,
@@ -39,7 +38,7 @@ from .components import JSetUnionFind, block_rows, merge_ranks
 from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .errors import ValidationError
-from .models import _binomial_batches, _binomial_chains, _binomial_count, _process_batch, trial_seed
+from .models import _binomial_batches, _binomial_chains, _edge_counts, _process_batch, trial_seed
 from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
 from .params import Params
 
@@ -47,10 +46,25 @@ _TABLE_RANKS = 2**14  # largest edge-to-j-set table; C(n, j) <= its C(n, k) * C(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for all experiment drivers."""
+    """One run's knobs, a field per config key (``hgio.parse_config``;
+    seed is base_seed, and k, j, n make params).
+
+    The regime constants are None until a run needs one (``require``):
+    eps, a signed distance from p_g (``gw`` runs at p = (1 + eps) * p_g);
+    gamma, the smoothness probe's supercritical margin; omega, the
+    connectivity probe's offset from p_c; s and c, the degree runs' degree
+    class and limit constant.  Trial t runs on seed base_seed + t;
+    eps_grid is the phase sweep's grid, ell_list the smoothness probe's
+    ell values, and sample_cap the most ell-sets a smoothness score counts
+    before it samples.
+    """
 
     params: Params
-    regime: RegimeParams = field(default_factory=RegimeParams)
+    eps: float | None = None
+    gamma: float | None = None
+    omega: float | None = None
+    s: int | None = None
+    c: float | None = None
     trials: int = 50
     base_seed: int = 1
     eps_grid: tuple[float, ...] = ()
@@ -68,7 +82,7 @@ class ExperimentConfig:
             raise ValidationError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
     def require(self, key: str):
-        value = getattr(self.regime, key)
+        value = getattr(self, key)
         if value is None:
             raise ValidationError(f"config key '{key}' is required for this experiment")
         return value
@@ -203,7 +217,7 @@ def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], 
     for p, fault in zip(ps, faults):
         if not 0.0 <= p <= 1.0:
             raise ValidationError(fault)
-        counts.append([_binomial_count(cfg.params, p, trial_seed(cfg.base_seed, t))[0] for t in range(cfg.trials)])
+        counts.append(_edge_counts(cfg.params, p, [trial_seed(cfg.base_seed, t) for t in range(cfg.trials)]))
     rows: list[list[tuple]] = [[] for _ in ps]
     for t, trial in enumerate(zip(*counts)):
         seed = trial_seed(cfg.base_seed, t)

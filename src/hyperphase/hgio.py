@@ -7,11 +7,11 @@ Edge-list format (UTF-8, LF):
     v1 v2 ... vk        (m lines, 1-based, strictly increasing)
 
 Config format: flat ``key=value`` lines, ``#`` comments allowed.  Known
-keys: k, j, n (required); eps, gamma, omega, s, c, delta (``RegimeParams``);
+keys: k, j, n (required, making ``Params``); eps, gamma, omega, s, c,
 trials, seed, eps_grid (comma-separated floats), ell_list (comma-separated
-ints), sample_cap (``ExperimentConfig``, where seed is ``base_seed``).  This
-module reads the syntax only: a key left out takes its dataclass default,
-and the dataclasses check the values.
+ints) and sample_cap, each an ``ExperimentConfig`` field (seed is
+``base_seed``).  This module reads the syntax only: a key left out takes
+its dataclass default, and the dataclasses check the values.
 
 CSV cells: reals printed with 17 significant digits so they round-trip
 exactly; booleans as true/false; missing values empty.  JSON output
@@ -21,9 +21,7 @@ mirrors the CSV columns, one object per row.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
-from .analysis import RegimeParams
 from .combinatorics import validate_subset
 from .errors import ConfigError, ParseError, ValidationError
 from .experiments import ExperimentConfig
@@ -130,7 +128,7 @@ def _comma_list(item):
 
 _CONVERT = {
     **dict.fromkeys(("k", "j", "n", "trials", "seed", "s", "sample_cap"), int),
-    **dict.fromkeys(("eps", "gamma", "omega", "c", "delta"), float),
+    **dict.fromkeys(("eps", "gamma", "omega", "c"), float),
     "eps_grid": _comma_list(float),
     "ell_list": _comma_list(int),
 }
@@ -161,7 +159,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
     params = Params(values.pop("k"), values.pop("j"), values.pop("n"))
-    regime = RegimeParams(**{f.name: values.pop(f.name) for f in fields(RegimeParams) if f.name in values})
     if "seed" in values:
         values["base_seed"] = values.pop("seed")
-    return ExperimentConfig(params, regime, **values)
+    return ExperimentConfig(params, **values)

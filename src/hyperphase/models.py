@@ -172,7 +172,7 @@ def sample_uniform(params: Params, M: int, seed: int) -> Hypergraph:
 def sample_binomial(params: Params, p: float, seed: int) -> Hypergraph:
     """Every k-set an edge independently with probability p: the one-count
     case of ``_binomial_chains``."""
-    ((_, _, ranks),) = _binomial_chains(params.num_ksets, [_binomial_count(params, p, seed)[0]], seed)
+    ((_, _, ranks),) = _binomial_chains(params.num_ksets, _edge_counts(params, p, [seed]), seed)
     return Hypergraph.from_ranks(params, np.sort(ranks))
 
 
@@ -216,6 +216,11 @@ def _binomial_count(params: Params, p: float, seed: int) -> tuple[int, random.Ra
     m = _draw_binomial_count(rng, params.num_ksets, p)
     check_cap("edge count m", m)
     return m, rng
+
+
+def _edge_counts(params: Params, p: float, seeds: list[int]) -> list[int]:
+    """``sample_binomial``'s edge count on each seed, guardrail-checked."""
+    return [_binomial_count(params, p, seed)[0] for seed in seeds]
 
 
 def _binomial_chains(total: int, counts, seed: int):

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from hyperphase.analysis import (
-    RegimeParams,
     degree_profile,
     gw_survival,
     thresholds,
@@ -109,7 +108,7 @@ def test_criterion_4_hitting_time():
 def test_criterion_5_connectivity_threshold():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        params=Params(3, 2, 100), regime=RegimeParams(omega=3.0), trials=100, base_seed=1
+        params=Params(3, 2, 100), omega=3.0, trials=100, base_seed=1
     )
     res = run_connectivity_probe(cfg)
     elapsed = time.perf_counter() - t0
@@ -133,7 +132,7 @@ def test_criterion_5_connectivity_threshold():
 def test_criterion_6_poisson_limit():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        params=Params(3, 1, 100), regime=RegimeParams(s=0, c=0.0), trials=400, base_seed=1
+        params=Params(3, 1, 100), s=0, c=0.0, trials=400, base_seed=1
     )
     res = run_degree_experiment(cfg)
     elapsed = time.perf_counter() - t0
@@ -152,7 +151,7 @@ def test_criterion_6_poisson_limit():
 def test_criterion_7_smoothness():
     cfg = ExperimentConfig(
         params=Params(3, 2, 150),
-        regime=RegimeParams(gamma=0.3),
+        gamma=0.3,
         trials=30,
         base_seed=1,
         ell_list=(1,),

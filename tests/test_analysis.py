@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase.analysis import (
-    RegimeParams,
     SmoothnessReport,
     degree_profile,
     degree_regime_p,
@@ -214,6 +213,8 @@ def test_smoothness_validation():
         smoothness_score([(1, 2)], 2, params)
     with pytest.raises(ValidationError):
         smoothness_score([], 1, params)
+    with pytest.raises(ValidationError, match=r"needs a nonempty family of j-sets on \[5\]"):
+        smoothness_score([(1, 2), (3,)], 1, params)  # ragged rows make no array
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -313,10 +314,10 @@ def test_gw_validates_p():
 
 def test_regime_advisories():
     params = Params(3, 2, 150)
-    assert regime_advisories(params, RegimeParams()) == []
-    msgs = regime_advisories(params, RegimeParams(eps=0.2, gamma=0.3))
+    assert regime_advisories(params) == []
+    msgs = regime_advisories(params, eps=0.2, gamma=0.3)
     assert any("eps" in m for m in msgs)
     assert any("gamma" in m for m in msgs)
     # comfortable regime: large eps and gamma at large n
-    quiet = regime_advisories(Params(2, 1, 10**6), RegimeParams(eps=0.5, gamma=0.5, delta=0.25))
+    quiet = regime_advisories(Params(2, 1, 10**6), eps=0.5, gamma=0.5)
     assert quiet == []

@@ -15,7 +15,7 @@ import hyperphase.analysis
 import hyperphase.components
 import hyperphase.experiments
 import hyperphase.models
-from hyperphase.analysis import RegimeParams, degree_profile
+from hyperphase.analysis import degree_profile
 from hyperphase.cli import _HANDLERS, cli_dispatch
 from hyperphase.components import largest_component_jsets
 from hyperphase.errors import ResourceLimitError
@@ -371,8 +371,8 @@ def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
     # trial at least: a cap that fits every trial but not a full batch gives
     # smaller batches and the same records, and one a trial does not fit
     # raises the per-sample error a one-trial run raises
-    params, regime = Params(3, 1, 100), RegimeParams(s=0, c=0.0)
-    cfg = ExperimentConfig(params=params, regime=regime, trials=20, base_seed=1)
+    params = Params(3, 1, 100)
+    cfg = ExperimentConfig(params=params, s=0, c=0.0, trials=20, base_seed=1)
     path = tmp_path / "c.txt"
     path.write_text("k=3\nj=1\nn=100\ntrials=20\ns=0\nc=0\n", encoding="utf-8")
     batches = []

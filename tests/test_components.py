@@ -16,8 +16,7 @@ from hyperphase.components import (
     merge_ranks,
 )
 from hyperphase import components, experiments
-from hyperphase.errors import ResourceLimitError, ValidationError
-from hyperphase.analysis import RegimeParams
+from hyperphase.errors import ConvergenceError, ResourceLimitError, ValidationError
 from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run_degree_experiment, run_hitting_time
 from hyperphase.models import Hypergraph, process_stream, sample_binomial, sample_uniform
 from hyperphase.params import Params
@@ -123,13 +122,12 @@ def test_degree_footprint_is_one_batch():
     # one count per trial until its rows are built: 16 bytes of slack each
     # (an 8-byte list slot, and the batches filling the budget unevenly).
     params = Params(3, 1, 100)  # ~150 edges and ~450 j-set ranks per trial, ~18 trials per batch
-    regime = RegimeParams(s=0, c=0.0)
-    run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1))  # tables cached
+    run_degree_experiment(ExperimentConfig(params=params, s=0, c=0.0, trials=1))  # tables cached
     peaks = {}
     for trials in (100, 800):
         tracemalloc.start()
         try:
-            run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=trials, base_seed=1))
+            run_degree_experiment(ExperimentConfig(params=params, s=0, c=0.0, trials=trials, base_seed=1))
             _, peaks[trials] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -144,8 +142,8 @@ def test_static_footprint_is_one_draw():
     # their in-range copy, the pool and its packed keys), then at most two
     # label arrays of C(n, j) and a block's arrays, a few _BATCH_RANKS each.
     # A fresh sample per point also held its edges and its (m, 3) j-set ranks.
-    params, regime = Params(3, 2, 100), RegimeParams(omega=3.0)
-    cfg = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=1)
+    params = Params(3, 2, 100)
+    cfg = ExperimentConfig(params=params, omega=3.0, trials=1, base_seed=1)
     run_connectivity_probe(cfg)  # binomial tables cached
     tracemalloc.start()
     try:
@@ -432,6 +430,16 @@ class CountingNumpy:
         self.rounds += 1
         assert self.rounds <= 100, "merge_ranks did not converge"
         return np.count_nonzero(a)
+
+
+def test_merge_ranks_fails_instead_of_stalling(monkeypatch):
+    # a compress step that leaves its input as it is keeps a 50-node path's
+    # rows split (each round takes the full branch): the round bound turns
+    # the stall into an error
+    monkeypatch.setattr(components, "_compress", lambda parent: parent)
+    path = np.stack((np.arange(49), np.arange(1, 50)), axis=1)
+    with pytest.raises(ConvergenceError, match="^merge of 50 labels still split after 51 rounds$"):
+        merge_ranks(np.arange(50), path)
 
 
 def test_merge_ranks_equals_a_scalar_union_find(monkeypatch):

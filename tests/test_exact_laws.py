@@ -20,7 +20,6 @@ from itertools import combinations
 import pytest
 
 from hyperphase import models
-from hyperphase.analysis import RegimeParams
 from hyperphase.experiments import ExperimentConfig, run_connectivity_probe, run_hitting_time, run_phase_sweep
 from hyperphase.params import Params
 
@@ -85,7 +84,7 @@ def test_hitting_time_laws(params):
 def check_probe_laws(params, omega, trials):
     """Both sides' connected and isolated fractions against the exact laws."""
     connected, no_isolated, _, _ = enumerate_laws(params.k, params.j, params.n)
-    cfg = ExperimentConfig(params, RegimeParams(omega=omega), trials=trials, base_seed=SEED)
+    cfg = ExperimentConfig(params, omega=omega, trials=trials, base_seed=SEED)
     res = run_connectivity_probe(cfg)
     for side in (res.below, res.above):
         for observed, exact in (

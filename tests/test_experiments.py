@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperphase import analysis, components, experiments, models
-from hyperphase.analysis import RegimeParams, degree_profile, thresholds
+from hyperphase.analysis import degree_profile, thresholds
 from hyperphase.combinatorics import colex_rank, colex_unrank, colex_unrank_array, jset_rank_array
 from hyperphase.components import JSetUnionFind, component_summary, largest_component_jsets
 from hyperphase.errors import ResourceLimitError, ValidationError
@@ -397,7 +397,7 @@ def test_hitting_batches_never_mix_trials(monkeypatch, params, base_seed, budget
 
 def test_degree_experiment_shape_and_conservation():
     cfg = ExperimentConfig(
-        params=Params(3, 1, 40), regime=RegimeParams(s=0, c=0.0), trials=40, base_seed=1
+        params=Params(3, 1, 40), s=0, c=0.0, trials=40, base_seed=1
     )
     res = run_degree_experiment(cfg)
     assert res.s == 0 and res.poisson_rate == pytest.approx(1.0)
@@ -420,11 +420,11 @@ def test_degree_extreme_c_behaviour():
     # c -> +inf proxy: degree-0 sets vanish; c -> -inf proxy: they abound
     params = Params(3, 1, 80)
     high = run_degree_experiment(
-        ExperimentConfig(params=params, regime=RegimeParams(s=0, c=6.0), trials=40, base_seed=2)
+        ExperimentConfig(params=params, s=0, c=6.0, trials=40, base_seed=2)
     )
     assert sum(t.count == 0 for t in high.trials) / len(high.trials) >= 0.9
     low = run_degree_experiment(
-        ExperimentConfig(params=params, regime=RegimeParams(s=0, c=-4.0), trials=40, base_seed=2)
+        ExperimentConfig(params=params, s=0, c=-4.0, trials=40, base_seed=2)
     )
     assert low.mean_count >= 10.0
 
@@ -455,12 +455,11 @@ def spy_degree_batches(monkeypatch):
 )
 def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
     base, trials = 5, 40
-    regime = RegimeParams(s=s, c=c)
-    p = run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1)).p
+    p = run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=1)).p
     samples = [sample_binomial(params, p, base + t) for t in range(trials)]
     expected = [degree_profile(h).count(s) for h in samples]
     single = [
-        run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=1, base_seed=base + t)).trials[0]
+        run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=1, base_seed=base + t)).trials[0]
         for t in range(trials)
     ]
     assert [row.count for row in single] == expected
@@ -478,7 +477,7 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
             monkeypatch.setattr(experiments, "INT64_MAX", 3 * params.num_jsets - 1)
         batches, ranked = spy_degree_batches(monkeypatch)
         gathered = spy_table(monkeypatch)
-        res = run_degree_experiment(ExperimentConfig(params=params, regime=regime, trials=trials, base_seed=base))
+        res = run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=trials, base_seed=base))
         monkeypatch.undo()
         assert [row.count for row in res.trials] == expected
         assert list(res.trials) == [dataclasses.replace(row, trial=t) for t, row in enumerate(single)]
@@ -507,7 +506,7 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
 def test_rows_survive_the_short_trial_redo(monkeypatch, params):
     # a first round of one draw leaves every trial of two or more edges
     # short, so each is redrawn alone from its seed: the records must not move
-    degrees = ExperimentConfig(params=params, regime=RegimeParams(s=0, c=0.0), trials=30, base_seed=4)
+    degrees = ExperimentConfig(params=params, s=0, c=0.0, trials=30, base_seed=4)
     hitting = ExperimentConfig(params=params, trials=30, base_seed=4)
     expected = (run_degree_experiment(degrees), run_hitting_time(hitting))
     size, batch_draw, short = models._draw_size, models._batch_first_ranks, []
@@ -559,7 +558,7 @@ def test_tv_to_poisson_degenerate():
 
 def test_connectivity_probe_directions_and_determinism():
     cfg = ExperimentConfig(
-        params=Params(3, 2, 40), regime=RegimeParams(omega=3.0), trials=20, base_seed=5
+        params=Params(3, 2, 40), omega=3.0, trials=20, base_seed=5
     )
     res = run_connectivity_probe(cfg)
     assert res.below.p < res.above.p
@@ -581,7 +580,7 @@ def test_connectivity_probe_requires_omega():
 def test_smoothness_probe_ell_zero_and_reports():
     cfg = ExperimentConfig(
         params=Params(3, 2, 40),
-        regime=RegimeParams(gamma=0.5),
+        gamma=0.5,
         trials=8,
         base_seed=4,
         ell_list=(0, 1),
@@ -601,7 +600,7 @@ def test_smoothness_probe_flags_edgeless_draws():
     seed = next(s for s in range(3000) if sample_binomial(params, p, s).m == 0)
     cfg = ExperimentConfig(
         params=params,
-        regime=RegimeParams(gamma=0.01),
+        gamma=0.01,
         trials=seed + 1,
         base_seed=0,
         ell_list=(1,),
@@ -618,14 +617,14 @@ def test_smoothness_probe_validation(monkeypatch):
         run_smoothness_probe(ExperimentConfig(params=params, trials=1, ell_list=(1,)))
     with pytest.raises(ValidationError, match="ell_list"):
         run_smoothness_probe(
-            ExperimentConfig(params=params, regime=RegimeParams(gamma=0.5), trials=1)
+            ExperimentConfig(params=params, gamma=0.5, trials=1)
         )
     # every ell is checked before the first draw: here trial 0 draws no
     # edges, so the scorer, which checks ell too, would never run
-    params, regime = Params(3, 2, 8), RegimeParams(gamma=0.01)
+    params = Params(3, 2, 8)
     p = 1.01 * thresholds(params).p_g
     assert sample_binomial(params, p, 31).m == 0
-    good = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=31, ell_list=(1,))
+    good = ExperimentConfig(params=params, gamma=0.01, trials=1, base_seed=31, ell_list=(1,))
     assert [t.l1_size for t in run_smoothness_probe(good)] == [0]
 
     def no_draw(*args):
@@ -642,6 +641,6 @@ def test_smoothness_probe_validation(monkeypatch):
     assert sample_binomial(params, 1.01 * thresholds(params).p_g, 0).m == 0
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "9")
     monkeypatch.setattr(models, "_draw_binomial_count", no_draw)
-    capped = ExperimentConfig(params=params, regime=regime, trials=1, base_seed=0, ell_list=(1, 2))
+    capped = ExperimentConfig(params=params, gamma=0.01, trials=1, base_seed=0, ell_list=(1, 2))
     with pytest.raises(ResourceLimitError, match=r"^ell-sets scored = 10 exceeds the guardrail cap 9 "):
         run_smoothness_probe(capped)

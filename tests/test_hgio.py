@@ -143,7 +143,7 @@ def test_parse_config_sweep_with_defaults():
     assert cfg.eps_grid == (0.1, 0.2)
     assert cfg.trials == 50
     assert cfg.base_seed == 1
-    assert cfg.regime.delta == 0.25
+    assert cfg.eps is None and cfg.gamma is None
     assert cfg.sample_cap == 10**6
 
 
@@ -151,7 +151,7 @@ def test_parse_config_defaults_are_the_dataclasses():
     cfg = parse_config("k=3\nj=2\nn=10\n")
     expected = ExperimentConfig(Params(3, 2, 10))
     for f in fields(ExperimentConfig):
-        assert getattr(cfg, f.name) == getattr(expected, f.name), f.name  # regime included
+        assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
 
 
 def test_parse_config_invalid_j():
@@ -167,12 +167,12 @@ def test_parse_config_graph_case():
 def test_parse_config_all_keys():
     text = (
         "k=3\nj=2\nn=60\ntrials=7\nseed=9\neps=0.2\ngamma=0.3\nomega=3\n"
-        "s=1\nc=-2.5\ndelta=0.2\neps_grid=-0.2,0.2\nell_list=0,1\nsample_cap=500\n"
+        "s=1\nc=-2.5\neps_grid=-0.2,0.2\nell_list=0,1\nsample_cap=500\n"
     )
     cfg = parse_config(text)
     assert cfg.trials == 7 and cfg.base_seed == 9
-    assert cfg.regime.eps == 0.2 and cfg.regime.gamma == 0.3 and cfg.regime.omega == 3.0
-    assert cfg.regime.s == 1 and cfg.regime.c == -2.5 and cfg.regime.delta == 0.2
+    assert cfg.eps == 0.2 and cfg.gamma == 0.3 and cfg.omega == 3.0
+    assert cfg.s == 1 and cfg.c == -2.5
     assert cfg.eps_grid == (-0.2, 0.2) and cfg.ell_list == (0, 1)
     assert cfg.sample_cap == 500
 
@@ -180,6 +180,8 @@ def test_parse_config_all_keys():
 def test_parse_config_errors():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("k=3\nj=2\nn=10\nbogus=1\n")
+    with pytest.raises(ConfigError, match="^line 4: unknown key 'delta'$"):  # a fixed constant of the advisory check
+        parse_config("k=3\nj=2\nn=10\ndelta=0.25\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("k=3\nk=4\nj=2\nn=10\n")
     with pytest.raises(ConfigError, match="missing required"):

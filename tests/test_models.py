@@ -64,6 +64,8 @@ def test_hypergraph_rejects_bad_edges():
             Hypergraph(params, form(((1, 2, 6),)))
         with pytest.raises(ValidationError, match="vertices must be integers"):
             Hypergraph(params, form(((1.2, 1.5, 3),)))
+    with pytest.raises(ValidationError, match=r"edge \(1, 2\) must have exactly 3 vertices, got 2"):
+        Hypergraph(params, ((1, 2, 3), (1, 2)))  # ragged rows make no array
 
 
 def test_hypergraph_rejects_descending_unsigned_rows():
@@ -636,3 +638,14 @@ def test_binomial_count_draw_calls_the_replay_by_module_name(monkeypatch):
     assert models._draw_binomial_count(random.Random(1), 161_700, 0.12) == 12_345
     assert models._draw_binomial_count(random.Random(1), 161_700, 0.88) == 161_700 - 12_345
     assert calls == [0.12, pytest.approx(0.12)]
+
+
+def test_binomial_count_draw_at_a_zero_uniform():
+    # random() can return 0.0, which has no log: the count is then the
+    # smallest, 0, at p <= 1/2, and C(n, k) above it, through the mirror
+    class ZeroUniform:
+        def random(self):
+            return 0.0
+
+    for p, expected in ((0.12, 0), (0.5, 0), (0.88, 161_700)):
+        assert models._draw_binomial_count(ZeroUniform(), 161_700, p) == expected

@@ -17,7 +17,7 @@ EXPORTS = [
     "ComponentSummary", "ConfigError", "ConnectivityProbeResult", "ConvergenceError",
     "DEFAULT_MAX_JSETS", "DegreeProfile", "DegreeRunResult", "ExperimentConfig",
     "ExplorationRecord", "GWResult", "HittingRecord", "Hypergraph", "JSetUnionFind",
-    "MAX_JSETS_ENV", "Params", "ParseError", "RegimeParams", "ResourceLimitError",
+    "MAX_JSETS_ENV", "Params", "ParseError", "ResourceLimitError",
     "SmoothnessReport", "SmoothnessTrial", "Stats", "SweepPoint", "Thresholds",
     "ValidationError", "aggregate", "bfs_explore", "binomial",
     "colex_rank", "colex_unrank", "colex_unrank_array", "component_summary",
@@ -40,6 +40,8 @@ RECORDS = {
     "ConnectivityProbeResult": ["below", "above"],
     "DegreeProfile": ["counts"],
     "DegreeRunResult": ["s", "c", "p", "poisson_rate", "trials", "tv_distance", "mean_count"],
+    "ExperimentConfig": ["params", "eps", "gamma", "omega", "s", "c", "trials", "base_seed", "eps_grid",
+                         "ell_list", "sample_cap"],
     "ExplorationRecord": ["start", "generations", "exhausted"],
     "GWResult": ["offspring_rate", "batch", "survival", "iterations"],
     "HittingRecord": ["trial", "seed", "t_c", "t_i"],
@@ -72,9 +74,10 @@ def test_record_fields():
 def test_experiments_hold_no_sample_rule():
     # generators, their words, rank draws, prefixes and complements live in
     # models; the drivers and the smoothness score hand models seeds and
-    # counts and get rank arrays back
+    # counts and get rank arrays or counts back (never the (count, generator)
+    # pair of _binomial_count)
     words = ("random", "Random", "getrandbits", "first_distinct_ranks", "_distinct_ranks", "// 2", "bytes",
-             "_round_words")
+             "_round_words", "_binomial_count")
     for module in ("experiments.py", "analysis.py"):
         source = (Path(hyperphase.__file__).parent / module).read_text(encoding="utf-8")
         for word in words:

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` wraps these module bindings and methods with
 ``setattr``; if one disappears, every traced worker fails at install.
 This pins them in the package's own suite, so such a change fails here
-first.  Every other module-level import in the package must be read.
+first.  Every other module-level import in the package must be read, and
+every top-level definition read or exported.
 """
 
 import ast
@@ -11,6 +12,7 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,6 @@ import hyperphase.cli as cli
 import hyperphase.components as components
 import hyperphase.experiments as experiments
 import hyperphase.models as models
-from hyperphase.analysis import RegimeParams
 from hyperphase.params import Params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +71,32 @@ def test_every_module_import_is_read_or_rebound():
     assert unused == []
 
 
+def test_every_top_level_definition_is_read_or_exported():
+    # a top-level def, class or assignment that no other statement of the
+    # package reads and __init__ does not export is dead code
+    # (__version__ is package metadata)
+    statements = [(path.name, node) for path in sorted((ROOT / "src" / "hyperphase").glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
+             for _, node in statements]
+    total = sum(reads, Counter())
+    exported = {alias.asname or alias.name for module, node in statements
+                if module == "__init__.py" and isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = []
+    for (module, node), own in zip(statements, reads):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        dead += [f"{module}: {name}" for name in names
+                 if total[name] == own[name] and name not in exported and name != "__version__"]
+    assert dead == []
+
+
 def test_rebound_post_init_runs_on_every_sample(monkeypatch):
     # the tracer counts samples through Hypergraph.__post_init__ and h.m
     seen = []
@@ -92,7 +119,7 @@ def test_static_runs_call_the_rebound_census(monkeypatch):
     monkeypatch.setattr(components.JSetUnionFind, "summary", lambda uf: calls.append(uf) or summary(uf))
     experiments.run_phase_sweep(experiments.ExperimentConfig(Params(3, 2, 10), trials=3, eps_grid=(-0.5, 0.5, 1.0)))
     assert len(calls) == 3 * 3
-    cfg = experiments.ExperimentConfig(Params(3, 2, 10), RegimeParams(omega=1.0), trials=4)
+    cfg = experiments.ExperimentConfig(Params(3, 2, 10), omega=1.0, trials=4)
     experiments.run_connectivity_probe(cfg)
     assert len(calls) == 3 * 3 + 2 * 4
 

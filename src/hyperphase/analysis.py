@@ -98,11 +98,13 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
 
 
 def poisson_limit_rate(params: Params, s: int, c: float) -> float:
-    """Limit rate j^s * e^(-c) / (j! * s!) for the degree-s count."""
+    """Limit rate j^s * e^(-c) / (j! * s!) for the degree-s count, in log
+    space: past s = 170, s! passes the largest float and the rate
+    underflows toward 0."""
     if s < 0:
         raise ValidationError(f"degree class s must be >= 0, got {s}")
     j = params.j
-    return j**s * math.exp(-c) / (math.factorial(j) * math.factorial(s))
+    return math.exp(s * math.log(j) - c - math.lgamma(j + 1) - math.lgamma(s + 1))
 
 
 def degree_regime_p(params: Params, s: int, c: float) -> float:

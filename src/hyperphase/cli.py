@@ -29,7 +29,7 @@ from .experiments import (
     run_smoothness_probe,
 )
 from .hgio import parse_config, parse_hypergraph, write_csv, write_hypergraph, write_json
-from .models import sample_binomial, sample_uniform
+from .models import sample_binomial, sample_uniform, trial_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,16 +216,16 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
     columns = ["eps", "p", "trial", "seed", "largest", "second",
                "largest_fraction", "second_fraction", "predicted_fraction"]
     rows, notes = [], []
-    for pt in points:
+    for eps, pt in zip(cfg.eps_grid, points):
         rows.extend(
-            [pt.eps, pt.p, row.trial, row.seed, row.largest, row.second,
+            [eps, pt.p, t, trial_seed(cfg.base_seed, t), row.largest, row.second,
              row.largest / total, row.second / total, pt.predicted_fraction]
-            for row in pt.trials
+            for t, row in enumerate(pt.trials)
         )
         stats = pt.largest_fraction
         predicted = "n/a" if pt.predicted_fraction is None else f"{pt.predicted_fraction:.4f}"
         notes.append(
-            f"eps={pt.eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
+            f"eps={eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
     return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, cfg.eps_grid)
@@ -235,7 +235,7 @@ def _cmd_hitting(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     records = run_hitting_time(cfg)
     columns = ["trial", "seed", "T_c", "T_i", "equal"]
-    rows = [[r.trial, r.seed, r.t_c, r.t_i, r.t_c == r.t_i] for r in records]
+    rows = [[t, trial_seed(cfg.base_seed, t), r.t_c, r.t_i, r.t_c == r.t_i] for t, r in enumerate(records)]
     frac = sum(r.t_c == r.t_i for r in records) / len(records)
     return _render_rows(columns, rows, args), [f"T_c == T_i in {frac:.1%} of {len(records)} runs"]
 
@@ -244,9 +244,9 @@ def _cmd_degrees(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     res = run_degree_experiment(cfg)
     columns = ["trial", "seed", "s", "c", "p", "count"]
-    rows = [[r.trial, r.seed, res.s, res.c, res.p, r.count] for r in res.trials]
+    rows = [[t, trial_seed(cfg.base_seed, t), cfg.s, cfg.c, res.p, count] for t, count in enumerate(res.counts)]
     notes = [
-        f"s={res.s} c={res.c}: mean D_s = {res.mean_count:.3f}, "
+        f"s={cfg.s} c={cfg.c}: mean D_s = {res.mean_count:.3f}, "
         f"TV to Poisson({res.poisson_rate:.4f}) = {res.tv_distance:.4f}"
     ]
     return _render_rows(columns, rows, args), notes
@@ -257,10 +257,12 @@ def _cmd_connprobe(args) -> tuple[str, list[str]]:
     res = run_connectivity_probe(cfg)
     columns = ["side", "p", "trial", "seed", "is_j_connected", "has_isolated"]
     rows, notes = [], []
-    for side in (res.below, res.above):
-        rows.extend([side.label, side.p, r.trial, r.seed, r.connected, r.has_isolated] for r in side.trials)
+    for label in ("below", "above"):
+        side = getattr(res, label)
+        rows.extend([label, side.p, t, trial_seed(cfg.base_seed, t), r.connected, r.has_isolated]
+                    for t, r in enumerate(side.trials))
         notes.append(
-            f"{side.label} (p={side.p:.5g}): P(j-connected) = {side.fraction_connected:.2f}, "
+            f"{label} (p={side.p:.5g}): P(j-connected) = {side.fraction_connected:.2f}, "
             f"P(isolated j-set) = {side.fraction_isolated:.2f}"
         )
     return _render_rows(columns, rows, args), notes
@@ -272,12 +274,13 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
     columns = ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
                "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
     rows = []
-    for tr in trials:
+    for t, tr in enumerate(trials):
+        seed = trial_seed(cfg.base_seed, t)
         if not tr.l1_size:  # flagged: the draw had no edges
-            rows.append([tr.trial, tr.seed, True, 0, None, None, None, None, None, None])
+            rows.append([t, seed, True, 0, None, None, None, None, None, None])
             continue
         rows.extend(
-            [tr.trial, tr.seed, False, tr.l1_size, ell, tr.l1_size,
+            [t, seed, False, tr.l1_size, ell, tr.l1_size,
              rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled]
             for ell, rep in sorted(tr.reports.items())
         )

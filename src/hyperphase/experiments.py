@@ -1,16 +1,18 @@
 """Seeded Monte Carlo experiment drivers.
 
 Every runner is a pure function of its ExperimentConfig: trial t draws on
-``trial_seed(base_seed, t)``, the seed is recorded in the trial's row, and
-a re-run reproduces every record bit for bit.  The runners hand ``models``
-seeds and counts and get rank arrays back.  Trials are independent;
-``hitting`` and ``degrees`` draw batches of them in ``models`` and reduce
-them over shared arrays (``_batch_jset_ranks``: one gather from a cached
-edge-to-j-set table at small C(n, k), else one unrank and one j-rank pass,
-trial b's j-sets offset by b * C(n, j)), and their records equal one-trial
-runs.  ``sweep``, ``connprobe`` and ``smooth`` share one driver
-(``_static_censuses``): a trial's points, all on its seed, merge the new
-ranks ``models`` hands each count into one union-find per chain.
+``trial_seed(base_seed, t)``, and a re-run reproduces every record bit for
+bit.  A record holds results only: trial t's is the t-th of its tuple or
+list, and no record repeats its trial, its seed or a config field.  The
+runners hand ``models`` seeds and counts and get rank arrays back.  Trials
+are independent; ``hitting`` and ``degrees`` draw batches of them in
+``models`` and reduce them over shared arrays (``_batch_jset_ranks``: one
+gather from a cached edge-to-j-set table at small C(n, k), else one unrank
+and one j-rank pass, trial b's j-sets offset by b * C(n, j)), and their
+records equal one-trial runs.  ``sweep``, ``connprobe`` and ``smooth``
+share one driver (``_static_censuses``): a trial's points, all on its
+seed, merge the new ranks ``models`` hands each count into one union-find
+per chain.
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ def aggregate(values: list[float] | tuple[float, ...]) -> Stats:
 
 @dataclass(frozen=True)
 class SweepTrial:
-    trial: int
-    seed: int
     largest: int
     second: int
 
@@ -116,7 +116,6 @@ class SweepTrial:
 class SweepPoint:
     """One grid point of a phase sweep, with per-trial component sizes."""
 
-    eps: float
     p: float
     trials: tuple[SweepTrial, ...]
     largest_fraction: Stats
@@ -128,43 +127,30 @@ class HittingRecord:
     """Process hitting times: T_c for j-connectivity, T_i for the last
     isolated j-set disappearing.  T_i <= T_c always."""
 
-    trial: int
-    seed: int
     t_c: int
     t_i: int
 
 
 @dataclass(frozen=True)
-class DegreeTrial:
-    trial: int
-    seed: int
-    count: int
-
-
-@dataclass(frozen=True)
 class DegreeRunResult:
-    """Empirical law of the degree-s count versus its Poisson target."""
+    """Empirical law of the degree-s count versus its Poisson target:
+    counts holds each trial's D_s."""
 
-    s: int
-    c: float
     p: float
     poisson_rate: float
-    trials: tuple[DegreeTrial, ...]
+    counts: tuple[int, ...]
     tv_distance: float
     mean_count: float
 
 
 @dataclass(frozen=True)
 class ProbeTrial:
-    trial: int
-    seed: int
     connected: bool
     has_isolated: bool
 
 
 @dataclass(frozen=True)
 class ProbeSide:
-    label: str
     p: float
     trials: tuple[ProbeTrial, ...]
     fraction_connected: float
@@ -183,8 +169,6 @@ class SmoothnessTrial:
     means the draw had no edges at all (a pathological subcritical sample),
     and then there are no reports."""
 
-    trial: int
-    seed: int
     l1_size: int
     reports: dict[int, SmoothnessReport]
 
@@ -201,14 +185,14 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     faults = [f"p = (1 + {eps}) * p_g = {p} outside [0, 1]" for eps, p in zip(cfg.eps_grid, ps)]
     points: list[SweepPoint] = []
     for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
-        trials = tuple(SweepTrial(t, seed, c.largest, c.second) for t, seed, c in rows)
+        trials = tuple(SweepTrial(c.largest, c.second) for c in rows)
         predicted = predicted_giant_fraction(params, eps) if eps > 0 else None
-        points.append(SweepPoint(eps, p, trials, aggregate([row.largest / total for row in trials]), predicted))
+        points.append(SweepPoint(p, trials, aggregate([row.largest / total for row in trials]), predicted))
     return points
 
 
-def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], read) -> list[list[tuple]]:
-    """Each point's (trial, seed, read(union-find, seed)) rows, the union-find
+def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], read) -> list[list]:
+    """Each point's read(union-find, seed) values in trial order, the union-find
     holding ``sample_binomial(params, p, seed)``'s edges: the one static
     driver, one trial at a time.  Point by point, p (raising its fault) and
     each trial's edge count are drawn and checked first, as one sample per
@@ -218,11 +202,11 @@ def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], 
         if not 0.0 <= p <= 1.0:
             raise ValidationError(fault)
         counts.append(_edge_counts(cfg.params, p, [trial_seed(cfg.base_seed, t) for t in range(cfg.trials)]))
-    rows: list[list[tuple]] = [[] for _ in ps]
+    rows: list[list] = [[] for _ in ps]
     for t, trial in enumerate(zip(*counts)):
         seed = trial_seed(cfg.base_seed, t)
         for i, uf in _static_union_finds(cfg.params, trial, seed):
-            rows[i].append((t, seed, read(uf, seed)))
+            rows[i].append(read(uf, seed))
     return rows
 
 
@@ -266,7 +250,7 @@ def run_hitting_time(cfg: ExperimentConfig) -> list[HittingRecord]:
             times.update((t, pair) for t, pair in zip(batch, _hitting_times(params, seeds, count)) if pair)
         pending = [t for t in pending if t not in times]
         count = min(2 * count, total)
-    return [HittingRecord(t, trial_seed(cfg.base_seed, t), *times[t]) for t in range(cfg.trials)]
+    return [HittingRecord(*times[t]) for t in range(cfg.trials)]
 
 
 def _hitting_times(params: Params, seeds: list[int], count: int) -> list[tuple[int, int] | None]:
@@ -341,9 +325,8 @@ def run_degree_experiment(cfg: ExperimentConfig) -> DegreeRunResult:
     values: list[int] = []
     for ranks in _binomial_batches(params, p, seeds, edges, trials):
         values += _degree_counts(params, ranks, s)
-    rows = tuple(DegreeTrial(t, trial_seed(cfg.base_seed, t), v) for t, v in enumerate(values))
     rate = poisson_limit_rate(params, s, c)
-    return DegreeRunResult(s, c, p, rate, rows, tv_to_poisson(values, rate), statistics.fmean(values))
+    return DegreeRunResult(p, rate, tuple(values), tv_to_poisson(values, rate), statistics.fmean(values))
 
 
 def _degree_counts(params: Params, batch: list[np.ndarray], s: int) -> list[int]:
@@ -389,13 +372,13 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
     j, n = params.j, params.n
     base = j * math.log(n)
     scale = binomial(n, params.k - j)
-    labels, ps = ("below", "above"), [(base - omega) / scale, (base + omega) / scale]
-    faults = [f"probe probability {p} (side {label}) outside [0, 1]" for label, p in zip(labels, ps)]
+    ps = [(base - omega) / scale, (base + omega) / scale]
+    faults = [f"probe probability {p} (side {label}) outside [0, 1]" for label, p in zip(("below", "above"), ps)]
     sides = []
-    for label, p, rows in zip(labels, ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
-        trials = tuple(ProbeTrial(t, seed, c.is_j_connected, c.isolated_count > 0) for t, seed, c in rows)
+    for p, rows in zip(ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
+        trials = tuple(ProbeTrial(c.is_j_connected, c.isolated_count > 0) for c in rows)
         connected, isolated = sum(r.connected for r in trials), sum(r.has_isolated for r in trials)
-        sides.append(ProbeSide(label, p, trials, connected / len(trials), isolated / len(trials)))
+        sides.append(ProbeSide(p, trials, connected / len(trials), isolated / len(trials)))
     return ConnectivityProbeResult(*sides)
 
 
@@ -417,12 +400,12 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
         check_cap("ell-sets scored", min(binomial(params.n, ell), cfg.sample_cap))
     p = (1.0 + gamma) * thresholds(params).p_g
 
-    def score(uf: JSetUnionFind, seed: int) -> tuple[int, dict[int, SmoothnessReport]]:
+    def score(uf: JSetUnionFind, seed: int) -> SmoothnessTrial:
         members = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
         if not len(members):  # no edges: nothing to score
-            return 0, {}
-        return len(members), {ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed)
-                              for ell in cfg.ell_list}
+            return SmoothnessTrial(0, {})
+        reports = {ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed) for ell in cfg.ell_list}
+        return SmoothnessTrial(len(members), reports)
 
-    (rows,) = _static_censuses(cfg, [p], [f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]"], score)
-    return [SmoothnessTrial(t, seed, size, reports) for t, seed, (size, reports) in rows]
+    (trials,) = _static_censuses(cfg, [p], [f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]"], score)
+    return trials

@@ -123,7 +123,7 @@ def write_json(columns: list[str], rows: list[list[object]]) -> str:
 
 
 def _comma_list(item):
-    return lambda value: tuple(item(tok) for tok in value.split(",") if tok.strip())
+    return lambda value: tuple(item(tok) for tok in value.split(","))
 
 
 _CONVERT = {

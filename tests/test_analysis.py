@@ -87,6 +87,16 @@ def test_poisson_limit_rate_examples():
     assert poisson_limit_rate(Params(2, 1, 10), 0, 0.0) == pytest.approx(1.0)
     assert poisson_limit_rate(Params(3, 2, 10), 0, 0.0) == pytest.approx(0.5)
     assert poisson_limit_rate(Params(3, 2, 10), 1, 0.0) == pytest.approx(1.0)
+    assert poisson_limit_rate(Params(3, 1, 10), 0, 0.0) == 1.0  # exactly: the degrees config's rate
+    # 171! passes the largest float; the rate underflows toward 0 instead of overflowing
+    for j in (1, 2):
+        rate = poisson_limit_rate(Params(3, j, 10), 171, 0.0)
+        assert 0.0 < rate < 1e-250
+        assert rate == pytest.approx(j**171 / (math.factorial(j) * math.factorial(171)), rel=1e-9, abs=0.0)
+    assert poisson_limit_rate(Params(3, 1, 10), 1000, 0.0) == 0.0
+    assert poisson_limit_rate(Params(3, 2, 10), 170, -2.0) == pytest.approx(
+        2**170 * math.exp(2.0) / (2 * math.factorial(170)), rel=1e-9
+    )
 
 
 def test_degree_formulas_refuse_negative_inputs():

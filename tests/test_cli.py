@@ -216,6 +216,16 @@ def test_degrees_and_summary_note(tmp_path, capsys):
     assert "TV to Poisson" in err
 
 
+def test_degrees_past_the_largest_factorial_float(tmp_path, capsys):
+    # 171! passes the largest float: the Poisson rate underflows toward 0
+    # instead of failing the run after its trials
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("k=3\nj=1\nn=30\ntrials=2\ns=171\nc=0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["degrees", "--config", str(cfg)])
+    assert code == 0 and len(out.splitlines()) == 3
+    assert "TV to Poisson(0.0000)" in err
+
+
 def test_connprobe(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text("k=3\nj=2\nn=25\ntrials=4\nomega=2\n", encoding="utf-8")
@@ -382,7 +392,7 @@ def test_degree_batches_keep_the_guardrail(tmp_path, capsys, monkeypatch):
     )
     uncapped = run_degree_experiment(cfg)
     code, out, _ = run(capsys, ["degrees", "--config", str(path)])
-    ms = [sample_binomial(params, uncapped.p, row.seed).m for row in uncapped.trials]
+    ms = [sample_binomial(params, uncapped.p, cfg.base_seed + t).m for t in range(cfg.trials)]
     cap = 3 * max(ms)  # C(3, 1) = 3 j-set ranks per edge
     assert code == 0 and cap < hyperphase.components._BATCH_RANKS < 3 * sum(ms)
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", str(cap))
@@ -732,8 +742,11 @@ def test_configs_run_at_two_trials(path, tmp_path, capsys):
     assert found == 1, f"{path.name} sets no trial count"
     cfg = tmp_path / path.name
     cfg.write_text(text, encoding="utf-8")
-    code, out, _ = run(capsys, [path.stem, "--config", str(cfg)])
-    header, *rows = out.splitlines()
-    assert code == 0 and header == CONFIG_COLUMNS[path.stem]
-    trial = header.split(",").index("trial")
-    assert rows and {row.split(",")[trial] for row in rows} == {"0", "1"}
+    # the CLI numbers the rows and writes each one's seed, base seed + trial
+    for base, flags in ((parse_config(text).base_seed, []), (1009, ["--seed", "1009"])):
+        code, out, _ = run(capsys, [path.stem, "--config", str(cfg), *flags])
+        header, *rows = out.splitlines()
+        assert code == 0 and header == CONFIG_COLUMNS[path.stem]
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert rows and {row["trial"] for row in cells} == {"0", "1"}
+        assert all(int(row["seed"]) == base + int(row["trial"]) for row in cells)

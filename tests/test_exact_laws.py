@@ -86,13 +86,13 @@ def check_probe_laws(params, omega, trials):
     connected, no_isolated, _, _ = enumerate_laws(params.k, params.j, params.n)
     cfg = ExperimentConfig(params, omega=omega, trials=trials, base_seed=SEED)
     res = run_connectivity_probe(cfg)
-    for side in (res.below, res.above):
+    for label, side in (("below", res.below), ("above", res.above)):
         for observed, exact in (
             (side.fraction_connected, mixture(connected, side.p)),
             (side.fraction_isolated, 1 - mixture(no_isolated, side.p)),
         ):
             z = (observed - exact) / math.sqrt(exact * (1 - exact) / trials)
-            assert abs(z) <= 4, (side.label, observed, exact)
+            assert abs(z) <= 4, (label, observed, exact)
 
 
 def test_connectivity_probe_laws():
@@ -127,12 +127,12 @@ def check_sweep_law(params, eps_grid, trials):
     _, _, l1_sum, l1_squares = enumerate_laws(params.k, params.j, params.n)
     points = run_phase_sweep(ExperimentConfig(params, trials=trials, base_seed=SEED, eps_grid=eps_grid))
     assert min(point.p for point in points) < 0.5 < max(point.p for point in points)
-    for point in points:
+    for eps, point in zip(eps_grid, points):
         exact = mixture(l1_sum, point.p)
         variance = mixture(l1_squares, point.p) - exact**2
         observed = sum(trial.largest for trial in point.trials) / trials
         z = (observed - exact) / math.sqrt(variance / trials)
-        assert abs(z) <= 4, (point.eps, observed, exact)
+        assert abs(z) <= 4, (eps, observed, exact)
 
 
 @pytest.mark.parametrize(

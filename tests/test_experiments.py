@@ -70,12 +70,12 @@ def test_sweep_eps_minus_one_is_empty_graph():
     assert point.predicted_fraction is None
 
 
-def test_sweep_is_deterministic_and_carries_seeds():
+def test_sweep_is_deterministic():
     cfg = ExperimentConfig(params=Params(3, 2, 15), trials=5, base_seed=42, eps_grid=(0.5, -0.5))
     a = run_phase_sweep(cfg)
     b = run_phase_sweep(cfg)
     assert a == b
-    assert [t.seed for t in a[0].trials] == [42, 43, 44, 45, 46]
+    assert [len(point.trials) for point in a] == [5, 5]
     for point in a:
         for t in point.trials:
             assert t.second <= t.largest <= cfg.params.num_jsets
@@ -223,9 +223,9 @@ def test_hitting_invariants():
 @pytest.mark.parametrize("params", [Params(3, 2, 10), Params(2, 1, 12)])
 def test_hitting_matches_offline_recomputation(params):
     cfg = ExperimentConfig(params=params, trials=10, base_seed=3)
-    for rec in run_hitting_time(cfg):
+    for t, rec in enumerate(run_hitting_time(cfg)):
         edges = []
-        stream = process_stream(params, rec.seed)
+        stream = process_stream(params, cfg.base_seed + t)
         for _ in range(rec.t_c):
             edges.append(next(stream))
         assert component_summary(Hypergraph(params, tuple(edges))).is_j_connected
@@ -259,7 +259,7 @@ def per_edge_hitting_time(cfg):
                 break
         else:
             raise RuntimeError("process exhausted before j-connectivity")
-        records.append(HittingRecord(t, seed, step, t_i))
+        records.append(HittingRecord(step, t_i))
     return records
 
 
@@ -390,7 +390,7 @@ def test_hitting_batches_never_mix_trials(monkeypatch, params, base_seed, budget
         monkeypatch.setattr(components, "_BATCH_RANKS", budget)
     batches = spy_batches(monkeypatch)
     records = run_hitting_time(ExperimentConfig(params=params, trials=40, base_seed=base_seed))
-    assert records == [dataclasses.replace(rec, trial=t) for t, rec in enumerate(single)]
+    assert records == single
     assert len(batches) >= 2 and max(trials for trials, _, _ in batches) > 1
     assert all(type(v) is int for rec in records for v in (rec.t_c, rec.t_i))
 
@@ -400,13 +400,12 @@ def test_degree_experiment_shape_and_conservation():
         params=Params(3, 1, 40), s=0, c=0.0, trials=40, base_seed=1
     )
     res = run_degree_experiment(cfg)
-    assert res.s == 0 and res.poisson_rate == pytest.approx(1.0)
+    assert res.poisson_rate == 1.0
     assert 0.0 <= res.tv_distance <= 1.0
-    assert res.mean_count == pytest.approx(statistics.fmean(t.count for t in res.trials))
-    # replaying a recorded trial seed reproduces its count
-    first = res.trials[0]
-    replay = degree_profile(sample_binomial(cfg.params, res.p, first.seed))
-    assert replay.count(res.s) == first.count
+    assert res.mean_count == pytest.approx(statistics.fmean(res.counts))
+    # replaying trial 0's seed reproduces its count
+    replay = degree_profile(sample_binomial(cfg.params, res.p, cfg.base_seed))
+    assert replay.count(0) == res.counts[0]
     assert sum(replay.counts.values()) == cfg.params.num_jsets
 
 
@@ -422,7 +421,7 @@ def test_degree_extreme_c_behaviour():
     high = run_degree_experiment(
         ExperimentConfig(params=params, s=0, c=6.0, trials=40, base_seed=2)
     )
-    assert sum(t.count == 0 for t in high.trials) / len(high.trials) >= 0.9
+    assert high.counts.count(0) / len(high.counts) >= 0.9
     low = run_degree_experiment(
         ExperimentConfig(params=params, s=0, c=-4.0, trials=40, base_seed=2)
     )
@@ -459,10 +458,10 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
     samples = [sample_binomial(params, p, base + t) for t in range(trials)]
     expected = [degree_profile(h).count(s) for h in samples]
     single = [
-        run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=1, base_seed=base + t)).trials[0]
+        run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=1, base_seed=base + t)).counts[0]
         for t in range(trials)
     ]
-    assert [row.count for row in single] == expected
+    assert single == expected
     # one trial per batch, a few (1 to 18 here, by edge count), the whole run
     # in one batch, and pairs when B * C(n, j) may not pass 3 * C(n, j) - 1;
     # each with the kernels (a table budget of 0) and then at _TABLE_RANKS,
@@ -479,9 +478,8 @@ def test_degree_batches_never_mix_trials(monkeypatch, params, s, c):
         gathered = spy_table(monkeypatch)
         res = run_degree_experiment(ExperimentConfig(params=params, s=s, c=c, trials=trials, base_seed=base))
         monkeypatch.undo()
-        assert [row.count for row in res.trials] == expected
-        assert list(res.trials) == [dataclasses.replace(row, trial=t) for t, row in enumerate(single)]
-        assert all(type(row.count) is int for row in res.trials)
+        assert list(res.counts) == expected
+        assert all(type(count) is int for count in res.counts)
         assert sum(batches) == trials
         if shape == "one":
             assert batches == [1] * trials
@@ -607,8 +605,8 @@ def test_smoothness_probe_flags_edgeless_draws():
     )
     trials = run_smoothness_probe(cfg)
     assert trials[seed].l1_size == 0 and trials[seed].reports == {}
-    for tr in trials:
-        assert (tr.l1_size == 0) == (sample_binomial(params, p, tr.seed).m == 0)
+    for t, tr in enumerate(trials):  # base seed 0: trial t draws on seed t
+        assert (tr.l1_size == 0) == (sample_binomial(params, p, t).m == 0)
 
 
 def test_smoothness_probe_validation(monkeypatch):

@@ -188,6 +188,8 @@ def test_parse_config_errors():
         parse_config("k=3\nj=2\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("k=three\nj=2\nn=10\n")
+    with pytest.raises(ConfigError, match="^line 4: bad value for key 'eps_grid': '0.1,,0.2'$"):  # an empty item
+        parse_config("k=3\nj=2\nn=10\neps_grid=0.1,,0.2\n")
     with pytest.raises(ConfigError, match="key=value"):
         parse_config("k: 3\n")
 

@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 import hyperphase
+from hyperphase import experiments
 from hyperphase.components import JSetUnionFind
 from hyperphase.params import Params
 
@@ -34,21 +35,25 @@ EXPORTS = [
 # the union-find's writers, then its four public reads
 UNION_FIND = ["apply_edge", "apply_ranks", "find", "largest_component_ranks", "partition", "summary"]
 
-# the fields of each record a library function returns, in declaration order
+# the fields of each record a library function returns, in declaration order;
+# the per-trial records nested in them are read from experiments, not exported
 RECORDS = {
     "ComponentSummary": ["largest", "second", "num_nontrivial", "isolated_count", "is_j_connected"],
     "ConnectivityProbeResult": ["below", "above"],
     "DegreeProfile": ["counts"],
-    "DegreeRunResult": ["s", "c", "p", "poisson_rate", "trials", "tv_distance", "mean_count"],
+    "DegreeRunResult": ["p", "poisson_rate", "counts", "tv_distance", "mean_count"],
     "ExperimentConfig": ["params", "eps", "gamma", "omega", "s", "c", "trials", "base_seed", "eps_grid",
                          "ell_list", "sample_cap"],
     "ExplorationRecord": ["start", "generations", "exhausted"],
     "GWResult": ["offspring_rate", "batch", "survival", "iterations"],
-    "HittingRecord": ["trial", "seed", "t_c", "t_i"],
+    "HittingRecord": ["t_c", "t_i"],
+    "ProbeSide": ["p", "trials", "fraction_connected", "fraction_isolated"],
+    "ProbeTrial": ["connected", "has_isolated"],
     "SmoothnessReport": ["expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"],
-    "SmoothnessTrial": ["trial", "seed", "l1_size", "reports"],
+    "SmoothnessTrial": ["l1_size", "reports"],
     "Stats": ["mean", "stddev"],
-    "SweepPoint": ["eps", "p", "trials", "largest_fraction", "predicted_fraction"],
+    "SweepPoint": ["p", "trials", "largest_fraction", "predicted_fraction"],
+    "SweepTrial": ["largest", "second"],
     "Thresholds": ["p_g", "p_c"],
 }
 
@@ -68,7 +73,8 @@ def test_union_find_state():
 
 
 def test_record_fields():
-    assert {name: [f.name for f in dataclasses.fields(getattr(hyperphase, name))] for name in RECORDS} == RECORDS
+    records = {name: getattr(hyperphase if name in EXPORTS else experiments, name) for name in RECORDS}
+    assert {name: [f.name for f in dataclasses.fields(record)] for name, record in records.items()} == RECORDS
 
 
 def test_experiments_hold_no_sample_rule():

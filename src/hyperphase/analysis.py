@@ -15,7 +15,7 @@ import numpy as np
 
 from .combinatorics import JSet, binomial, canonical_array, check_cap, jset_rank_array
 from .errors import ConvergenceError, ValidationError
-from .models import Hypergraph, _first_ranks
+from .models import Hypergraph
 from .params import Params
 
 GW_TOL = 1e-12
@@ -48,7 +48,6 @@ class SmoothnessReport:
     expected_per_ellset: float
     max_rel_dev: float
     mean_rel_dev: float
-    sampled: bool
 
 
 @dataclass(frozen=True)
@@ -129,25 +128,15 @@ def poisson_pmf(lam: float, i: int) -> float:
     return math.exp(i * math.log(lam) - lam - math.lgamma(i + 1))
 
 
-def smoothness_score(
-    members: np.ndarray | Sequence[JSet],
-    ell: int,
-    params: Params,
-    sample_cap: int = 10**6,
-    *,
-    seed: int = 0,
-) -> SmoothnessReport:
+def smoothness_score(members: np.ndarray | Sequence[JSet], ell: int, params: Params) -> SmoothnessReport:
     """Uniformity of ell-set coverage across a family S of j-sets.
 
     `members` holds S as the rows of an (|S|, j) integer array, such as
     ``largest_component_jsets`` returns, or as a list of j-set tuples.
     For each ell-set L, deg(L) = #{J in S : L subset of J} is compared to
     the flat-coverage value (|S| / C(n,j)) * C(n, j-ell); the report gives
-    the max and mean relative deviation.  All C(n, ell) ell-sets are scored
-    unless that exceeds sample_cap, in which case a uniform sample that
-    ``models`` draws on `seed` is scored and the report's `sampled` flag is
-    set.  Deviations are summed in lexicographic order of the ell-sets on
-    the full path and in ascending colex rank on the sampled one.
+    the max and mean relative deviation over all C(n, ell) ell-sets,
+    summed in their lexicographic order.
     """
     j, n = params.j, params.n
     if not 0 <= ell < j:
@@ -155,31 +144,16 @@ def smoothness_score(
     family = canonical_array(members, j, n)
     if family is None:
         raise ValidationError(f"smoothness_score needs a nonempty family of j-sets on [{n}]")
-    if sample_cap < 1:
-        raise ValidationError(f"sample_cap must be >= 1, got {sample_cap}")
     total_ellsets = binomial(n, ell)
-    check_cap("ell-sets scored", min(total_ellsets, sample_cap))
+    check_cap("ell-sets scored", total_ellsets)
 
     expected = len(family) / binomial(n, j) * binomial(n, j - ell)
-    if total_ellsets <= sample_cap:
-        sampled = False
-        # lexicographic order is descending colex order of the mirror images
-        # v -> n + 1 - v, so count the mirrored family and read it backwards
-        mirrored = jset_rank_array(n + 1 - family[:, ::-1], ell, n)
-        degs = np.bincount(mirrored.ravel(order="K"), minlength=total_ellsets)[::-1]
-    else:
-        sampled = True
-        picked_ranks = np.sort(_first_ranks(total_ellsets, seed, sample_cap))
-        ranks, counts = np.unique(jset_rank_array(family, ell, n), return_counts=True)
-        at = np.searchsorted(ranks, picked_ranks).clip(max=len(ranks) - 1)
-        degs = np.where(ranks[at] == picked_ranks, counts[at], 0)
+    # lexicographic order is descending colex order of the mirror images
+    # v -> n + 1 - v, so count the mirrored family and read it backwards
+    mirrored = jset_rank_array(n + 1 - family[:, ::-1], ell, n)
+    degs = np.bincount(mirrored.ravel(order="K"), minlength=total_ellsets)[::-1]
     devs = np.abs(degs / expected - 1.0).tolist()
-    return SmoothnessReport(
-        expected_per_ellset=expected,
-        max_rel_dev=max(devs),
-        mean_rel_dev=sum(devs) / len(devs),
-        sampled=sampled,
-    )
+    return SmoothnessReport(expected_per_ellset=expected, max_rel_dev=max(devs), mean_rel_dev=sum(devs) / len(devs))
 
 
 def gw_survival(params: Params, p: float) -> GWResult:

@@ -121,11 +121,10 @@ def _render_rows(columns: list[str], rows: list[list[object]], args: argparse.Na
     return write_csv(columns, rows)
 
 
-def _advisory_notes(cfg: ExperimentConfig, eps_values) -> list[str]:
-    """Each distinct regime advisory over `eps_values`, at the config's
-    gamma, as a note, in first-seen order."""
-    notes = [f"advisory: {msg}" for eps in eps_values for msg in regime_advisories(cfg.params, eps, cfg.gamma)]
-    return list(dict.fromkeys(notes))
+def _advisory_notes(advisories) -> list[str]:
+    """Each distinct message of the ``regime_advisories`` lists in
+    `advisories`, as a note, in first-seen order."""
+    return list(dict.fromkeys(f"advisory: {msg}" for msgs in advisories for msg in msgs))
 
 
 def _cmd_thresholds(args) -> tuple[str, list[str]]:
@@ -228,7 +227,8 @@ def _cmd_sweep(args) -> tuple[str, list[str]]:
             f"eps={eps:+.4g}: mean |L1|/C(n,j) = {stats.mean:.4f} "
             f"(std {stats.stddev:.4f}, predicted {predicted})"
         )
-    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, cfg.eps_grid)
+    advisories = _advisory_notes(regime_advisories(cfg.params, eps=eps) for eps in cfg.eps_grid)
+    return _render_rows(columns, rows, args), notes + advisories
 
 
 def _cmd_hitting(args) -> tuple[str, list[str]]:
@@ -271,6 +271,8 @@ def _cmd_connprobe(args) -> tuple[str, list[str]]:
 def _cmd_smooth(args) -> tuple[str, list[str]]:
     cfg = _load_config(args)
     trials = run_smoothness_probe(cfg)
+    # every ell-set is scored, so "sampled" is always false; the column stays
+    # until the output schema is versioned (bench/golden.json compares it)
     columns = ["trial", "seed", "flagged", "l1_size", "ell", "subset_size",
                "expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"]
     rows = []
@@ -281,12 +283,12 @@ def _cmd_smooth(args) -> tuple[str, list[str]]:
             continue
         rows.extend(
             [t, seed, False, tr.l1_size, ell, tr.l1_size,
-             rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, rep.sampled]
+             rep.expected_per_ellset, rep.max_rel_dev, rep.mean_rel_dev, False]
             for ell, rep in sorted(tr.reports.items())
         )
     flagged = sum(not tr.l1_size for tr in trials)
     notes = [f"{len(trials)} trials, {flagged} flagged (no edges)"]
-    return _render_rows(columns, rows, args), notes + _advisory_notes(cfg, [cfg.eps])
+    return _render_rows(columns, rows, args), notes + _advisory_notes([regime_advisories(cfg.params, gamma=cfg.gamma)])
 
 
 _HANDLERS = {

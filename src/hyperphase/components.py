@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import Edge, JSet, colex_rank, colex_unrank_array, jset_rank_array, max_jsets_cap, validate_subset
-from .combinatorics import colex_unrank  # unused: bench/tracing.py binds it (ROADMAP item 1)
+from .combinatorics import colex_unrank  # unused: bench/tracing.py binds it (ROADMAP item 2)
 from .errors import ConvergenceError, ValidationError
 from .models import Hypergraph
 from .params import Params

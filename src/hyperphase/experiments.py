@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import (
     SmoothnessReport,
-    degree_profile,  # unused: bench/tracing.py binds it until ROADMAP item 1 retargets the tracer
+    degree_profile,  # unused: bench/tracing.py binds it until ROADMAP item 2 retargets the tracer
     degree_regime_p,
     poisson_limit_rate,
     poisson_pmf,
@@ -37,11 +37,11 @@ from .analysis import (
 )
 from .combinatorics import INT64_MAX, binomial, check_cap, colex_unrank_array, jset_rank_array, max_jsets_cap
 from .components import JSetUnionFind, block_rows, merge_ranks
-from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 1)
-from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 1)
+from .components import component_summary  # unused: bench/tracing.py binds it (ROADMAP item 2)
+from .components import largest_component_jsets  # unused: bench/tracing.py binds it (ROADMAP item 2)
 from .errors import ValidationError
 from .models import _binomial_batches, _binomial_chains, _edge_counts, _process_batch, trial_seed
-from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 1)
+from .models import sample_binomial  # unused: bench/tracing.py binds it (ROADMAP item 2)
 from .params import Params
 
 _TABLE_RANKS = 2**14  # largest edge-to-j-set table; C(n, j) <= its C(n, k) * C(k, j) entries fit int16
@@ -56,9 +56,8 @@ class ExperimentConfig:
     gamma, the smoothness probe's supercritical margin; omega, the
     connectivity probe's offset from p_c; s and c, the degree runs' degree
     class and limit constant.  Trial t runs on seed base_seed + t;
-    eps_grid is the phase sweep's grid, ell_list the smoothness probe's
-    ell values, and sample_cap the most ell-sets a smoothness score counts
-    before it samples.
+    eps_grid is the phase sweep's grid (a repeated point runs again) and
+    ell_list the smoothness probe's distinct ell values.
     """
 
     params: Params
@@ -71,7 +70,6 @@ class ExperimentConfig:
     base_seed: int = 1
     eps_grid: tuple[float, ...] = ()
     ell_list: tuple[int, ...] = ()
-    sample_cap: int = 10**6
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -80,8 +78,8 @@ class ExperimentConfig:
             raise ValidationError(f"seed must be >= 0, got {self.base_seed}")
         if any(eps == 0 for eps in self.eps_grid):
             raise ValidationError("eps_grid values must be nonzero")
-        if self.sample_cap < 1:
-            raise ValidationError(f"sample_cap must be >= 1, got {self.sample_cap}")
+        if len(set(self.ell_list)) < len(self.ell_list):  # the probe keys its reports by ell
+            raise ValidationError(f"ell_list values must be distinct, got {self.ell_list}")
 
     def require(self, key: str):
         value = getattr(self, key)
@@ -184,7 +182,7 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     ps = [(1.0 + eps) * p_g for eps in cfg.eps_grid]
     faults = [f"p = (1 + {eps}) * p_g = {p} outside [0, 1]" for eps, p in zip(cfg.eps_grid, ps)]
     points: list[SweepPoint] = []
-    for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
+    for eps, p, rows in zip(cfg.eps_grid, ps, _static_censuses(cfg, ps, faults, JSetUnionFind.summary)):
         trials = tuple(SweepTrial(c.largest, c.second) for c in rows)
         predicted = predicted_giant_fraction(params, eps) if eps > 0 else None
         points.append(SweepPoint(p, trials, aggregate([row.largest / total for row in trials]), predicted))
@@ -192,7 +190,7 @@ def run_phase_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
 
 
 def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], read) -> list[list]:
-    """Each point's read(union-find, seed) values in trial order, the union-find
+    """Each point's read(union-find) values in trial order, the union-find
     holding ``sample_binomial(params, p, seed)``'s edges: the one static
     driver, one trial at a time.  Point by point, p (raising its fault) and
     each trial's edge count are drawn and checked first, as one sample per
@@ -206,7 +204,7 @@ def _static_censuses(cfg: ExperimentConfig, ps: list[float], faults: list[str], 
     for t, trial in enumerate(zip(*counts)):
         seed = trial_seed(cfg.base_seed, t)
         for i, uf in _static_union_finds(cfg.params, trial, seed):
-            rows[i].append(read(uf, seed))
+            rows[i].append(read(uf))
     return rows
 
 
@@ -375,7 +373,7 @@ def run_connectivity_probe(cfg: ExperimentConfig) -> ConnectivityProbeResult:
     ps = [(base - omega) / scale, (base + omega) / scale]
     faults = [f"probe probability {p} (side {label}) outside [0, 1]" for label, p in zip(("below", "above"), ps)]
     sides = []
-    for p, rows in zip(ps, _static_censuses(cfg, ps, faults, lambda uf, seed: uf.summary())):
+    for p, rows in zip(ps, _static_censuses(cfg, ps, faults, JSetUnionFind.summary)):
         trials = tuple(ProbeTrial(c.is_j_connected, c.isolated_count > 0) for c in rows)
         connected, isolated = sum(r.connected for r in trials), sum(r.has_isolated for r in trials)
         sides.append(ProbeSide(p, trials, connected / len(trials), isolated / len(trials)))
@@ -397,14 +395,14 @@ def run_smoothness_probe(cfg: ExperimentConfig) -> list[SmoothnessTrial]:
     for ell in cfg.ell_list:  # smoothness_score's checks, made before the first draw
         if not 0 <= ell < params.j:
             raise ValidationError(f"ell must satisfy 0 <= ell < j, got ell={ell}, j={params.j}")
-        check_cap("ell-sets scored", min(binomial(params.n, ell), cfg.sample_cap))
+        check_cap("ell-sets scored", binomial(params.n, ell))
     p = (1.0 + gamma) * thresholds(params).p_g
 
-    def score(uf: JSetUnionFind, seed: int) -> SmoothnessTrial:
+    def score(uf: JSetUnionFind) -> SmoothnessTrial:
         members = colex_unrank_array(uf.largest_component_ranks(), params.j, params.n)
         if not len(members):  # no edges: nothing to score
             return SmoothnessTrial(0, {})
-        reports = {ell: smoothness_score(members, ell, params, cfg.sample_cap, seed=seed) for ell in cfg.ell_list}
+        reports = {ell: smoothness_score(members, ell, params) for ell in cfg.ell_list}
         return SmoothnessTrial(len(members), reports)
 
     (trials,) = _static_censuses(cfg, [p], [f"p = (1 + {gamma}) * p_g = {p} outside [0, 1]"], score)

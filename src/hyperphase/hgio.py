@@ -8,8 +8,8 @@ Edge-list format (UTF-8, LF):
 
 Config format: flat ``key=value`` lines, ``#`` comments allowed.  Known
 keys: k, j, n (required, making ``Params``); eps, gamma, omega, s, c,
-trials, seed, eps_grid (comma-separated floats), ell_list (comma-separated
-ints) and sample_cap, each an ``ExperimentConfig`` field (seed is
+trials, seed, eps_grid (comma-separated floats) and ell_list
+(comma-separated ints), each an ``ExperimentConfig`` field (seed is
 ``base_seed``).  This module reads the syntax only: a key left out takes
 its dataclass default, and the dataclasses check the values.
 
@@ -127,7 +127,7 @@ def _comma_list(item):
 
 
 _CONVERT = {
-    **dict.fromkeys(("k", "j", "n", "trials", "seed", "s", "sample_cap"), int),
+    **dict.fromkeys(("k", "j", "n", "trials", "seed", "s"), int),
     **dict.fromkeys(("eps", "gamma", "omega", "c"), float),
     "eps_grid": _comma_list(float),
     "ell_list": _comma_list(int),

@@ -23,10 +23,10 @@ M > C(n, k)/2 the complement is drawn instead, so rejection stays cheap.
 draws and keeps each value's first draw with one sort of packed value/index
 keys.  It reads words past the last kept draw, so it is the generator's last
 use; its two callers seed a fresh one and drop it after.  ``_first_ranks``
-is every one-trial draw on a seed: the process (``EdgeStream``), uniform
-samples and sampled smoothness scores.  ``_binomial_chains`` is every
-binomial sample: its count (``_binomial_count``) reads two words at any p
-in (0, 1), so one draw past them serves every p on a seed, and only the
+is every one-trial draw on a seed: the process (``EdgeStream``) and
+uniform samples.  ``_binomial_chains`` is every binomial sample: its
+count (``_binomial_count``) reads two words at any p in (0, 1), so one
+draw past them serves every p on a seed, and only the
 chains know which ranks make each count's sample.  Many small trials
 draw together (``_process_batch`` for ``hitting``, ``_binomial_batches``
 for ``degrees``): each trial's generator reads the words of the replay's

@@ -1,5 +1,4 @@
 import math
-import random
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +18,7 @@ from hyperphase.analysis import (
     smoothness_score,
     thresholds,
 )
-from hyperphase.combinatorics import binomial, colex_unrank, validate_subset
+from hyperphase.combinatorics import binomial, validate_subset
 from hyperphase.components import component_summary
 from hyperphase.errors import ResourceLimitError, ValidationError
 from hyperphase.models import Hypergraph, sample_binomial
@@ -137,9 +136,9 @@ def test_poisson_pmf_sums_to_one(lam):
     assert abs(total - 1.0) < 1e-9
 
 
-def smoothness_oracle(members, ell, params, sample_cap=10**6, *, seed=0):
+def smoothness_oracle(members, ell, params):
     """Reference scorer: ell-set coverage counted in a dict over
-    ``combinations``, deviations summed in the same orders."""
+    ``combinations``, deviations summed in the same order."""
     j, n = params.j, params.n
     family = [validate_subset(s, j, n, "j-set") for s in members]
     coverage = {}
@@ -147,17 +146,9 @@ def smoothness_oracle(members, ell, params, sample_cap=10**6, *, seed=0):
         for L in combinations(s, ell):
             coverage[L] = coverage.get(L, 0) + 1
     expected = len(family) / binomial(n, j) * binomial(n, j - ell)
-    total_ellsets = binomial(n, ell)
-    if total_ellsets <= sample_cap:
-        degs = [coverage.get(L, 0) for L in combinations(range(1, n + 1), ell)]
-    else:
-        rng = random.Random(seed)
-        picked = set()
-        while len(picked) < sample_cap:
-            picked.add(rng.randrange(total_ellsets))
-        degs = [coverage.get(colex_unrank(r, ell, n), 0) for r in sorted(picked)]
+    degs = [coverage.get(L, 0) for L in combinations(range(1, n + 1), ell)]
     devs = [abs(d / expected - 1.0) for d in degs]
-    return SmoothnessReport(expected, max(devs), sum(devs) / len(devs), total_ellsets > sample_cap)
+    return SmoothnessReport(expected, max(devs), sum(devs) / len(devs))
 
 
 @given(st.data())
@@ -169,13 +160,10 @@ def test_smoothness_equals_dict_oracle(data):
     params = Params(j + 1, j, n)
     all_jsets = list(combinations(range(1, n + 1), j))
     family = data.draw(st.lists(st.sampled_from(all_jsets), min_size=1, max_size=15))
-    seed = data.draw(st.integers(0, 100))
     for ell in range(j):
-        total = binomial(n, ell)
-        for cap in {10**6, data.draw(st.integers(1, total))}:
-            expected = smoothness_oracle(family, ell, params, cap, seed=seed)
-            assert smoothness_score(family, ell, params, cap, seed=seed) == expected
-            assert smoothness_score(np.array(family), ell, params, cap, seed=seed) == expected
+        expected = smoothness_oracle(family, ell, params)
+        assert smoothness_score(family, ell, params) == expected
+        assert smoothness_score(np.array(family), ell, params) == expected
 
 
 def test_smoothness_guards_the_scored_ellsets(monkeypatch):
@@ -183,11 +171,23 @@ def test_smoothness_guards_the_scored_ellsets(monkeypatch):
     monkeypatch.setenv("HYPERPHASE_MAX_JSETS", "20")
     with pytest.raises(ResourceLimitError, match="ell-sets scored = 45 exceeds the guardrail cap 20"):
         smoothness_score([(1, 2, 3)], 2, params)
-    assert smoothness_score([(1, 2, 3)], 2, params, sample_cap=20).sampled
     monkeypatch.delenv("HYPERPHASE_MAX_JSETS")
-    # refused before a single ell-set is drawn
-    with pytest.raises(ResourceLimitError, match="ell-sets scored = 10000000000 exceeds"):
-        smoothness_score([(1, 2, 3)], 2, Params(4, 3, 10**6), sample_cap=10**10)
+    # refused before a single ell-set is counted
+    with pytest.raises(ResourceLimitError, match="ell-sets scored = 499999500000 exceeds"):
+        smoothness_score([(1, 2, 3)], 2, Params(4, 3, 10**6))
+
+
+def test_smoothness_scores_every_ellset_past_a_million():
+    # C(1500, 2) = 1,124,250 pairs: {2, 3} lies in two of the triples,
+    # seven other pairs in one, and every other pair in none
+    n = 1500
+    rep = smoothness_score([(1, 2, 3), (2, 3, 4), (1498, 1499, 1500)], 2, Params(4, 3, n))
+    expected = 3 * binomial(n, 1) / binomial(n, 3)
+    total = binomial(n, 2)
+    assert rep.expected_per_ellset == pytest.approx(expected, rel=1e-12)
+    assert rep.max_rel_dev == pytest.approx(2 / expected - 1, rel=1e-12)
+    mean = (abs(2 / expected - 1) + 7 * abs(1 / expected - 1) + (total - 8)) / total
+    assert rep.mean_rel_dev == pytest.approx(mean, rel=1e-12)
 
 
 def test_smoothness_complete_family():
@@ -197,7 +197,6 @@ def test_smoothness_complete_family():
     rep = smoothness_score(family, 1, params)
     assert rep.expected_per_ellset == pytest.approx(150.0)
     assert rep.max_rel_dev == pytest.approx(1 / 150)
-    assert not rep.sampled
 
 
 def test_smoothness_ell_zero_degenerate():
@@ -225,20 +224,6 @@ def test_smoothness_validation():
         smoothness_score([], 1, params)
     with pytest.raises(ValidationError, match=r"needs a nonempty family of j-sets on \[5\]"):
         smoothness_score([(1, 2), (3,)], 1, params)  # ragged rows make no array
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_smoothness_rejects_a_sample_cap_below_one(cap):
-    with pytest.raises(ValidationError, match=f"sample_cap must be >= 1, got {cap}"):
-        smoothness_score([(1, 2)], 1, Params(3, 2, 30), sample_cap=cap)
-
-
-def test_smoothness_sampling_path_is_deterministic():
-    params = Params(3, 2, 30)
-    family = [(1, 2), (2, 3), (10, 20)]
-    a = smoothness_score(family, 1, params, sample_cap=10, seed=5)
-    b = smoothness_score(family, 1, params, sample_cap=10, seed=5)
-    assert a == b and a.sampled
 
 
 @given(st.data())

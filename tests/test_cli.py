@@ -288,6 +288,10 @@ def test_exit_code_validation_error(tmp_path, capsys):
     cfg.write_text("k=3\nj=3\nn=10\n", encoding="utf-8")
     code, _, err = run(capsys, ["thresholds", "--config", str(cfg)])
     assert code == 1 and "j must satisfy" in err
+    # the smoothness probe keys its reports by ell, so a repeat would be dropped
+    cfg.write_text("k=3\nj=2\nn=30\ntrials=2\ngamma=0.5\nell_list=1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, ["smooth", "--config", str(cfg)])
+    assert code == 1 and "ell_list values must be distinct, got (1, 1)" in err and out == ""
 
 
 def test_exit_code_negative_seed(tmp_path, capsys):
@@ -499,8 +503,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
-# command, config, the advisory notes it prints, SHA-256 of its stdout.
-# Both sweep eps points raise the same two advisories; each is printed once.
+# command (the case name up to its first "-"), config, the advisory notes
+# it prints, SHA-256 of its stdout.  Both sweep eps points raise the same
+# two advisories; each is printed once.  Each run checks only its own
+# regime: sweep ignores a gamma and smooth an eps, so "sweep-gamma" and
+# "smooth-eps" print and write what "sweep" and "smooth" do.
 ADVISORY_CASES = {
     "sweep": (
         "k=3\nj=2\nn=40\ntrials=2\neps_grid=-0.2,0.2\n",
@@ -515,13 +522,27 @@ ADVISORY_CASES = {
         ["advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal"],
         "aaa6a732070e94565f4fe24c0658516f038bb7e03f2229a596e65dda61cfe1e6",
     ),
+    "sweep-gamma": (
+        "k=3\nj=2\nn=40\ntrials=2\neps_grid=-0.2,0.2\ngamma=0.5\n",
+        [
+            "advisory: eps^3 * n^j = 12.8 < 100: sweep regime is marginal",
+            "advisory: eps^2 * n^(1-2*delta) = 0.253 < 100: sweep regime is marginal",
+        ],
+        "2f517f3cf09c4e529d4598f0c9bc8e4c60869b90d95cad898dbc3df3e2b10ca2",
+    ),
+    "smooth-eps": (
+        "k=3\nj=2\nn=30\ntrials=2\ngamma=0.5\nell_list=1\neps=0.2\n",
+        ["advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal"],
+        "aaa6a732070e94565f4fe24c0658516f038bb7e03f2229a596e65dda61cfe1e6",
+    ),
 }
 
 
-@pytest.mark.parametrize("command", sorted(ADVISORY_CASES))
-def test_regime_advisories_become_notes(command, tmp_path):
+@pytest.mark.parametrize("case", sorted(ADVISORY_CASES))
+def test_regime_advisories_become_notes(case, tmp_path):
     # a fresh interpreter: no warning filter of the test run applies
-    config, expected, digest = ADVISORY_CASES[command]
+    config, expected, digest = ADVISORY_CASES[case]
+    command = case.partition("-")[0]
     cfg = tmp_path / "c.txt"
     cfg.write_text(config, encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -541,8 +562,7 @@ def test_regime_advisories_become_notes(command, tmp_path):
 # hashes pin the output bytes, so an engine rewrite that changes a single
 # row, rank or float digit fails here.  "sample-m" asks for more than half
 # of the C(12, 3) = 220 edges, so it takes the complement draw, and
-# "sample-p-complement" draws m = 179 of them, a binomial complement;
-# "smooth-sampled" has sample_cap < C(30, 1), so it scores a sample.
+# "sample-p-complement" draws m = 179 of them, a binomial complement.
 # "sweep-dense" runs p from 0 to 0.817 of C(6, 2) = 15 k-sets over an
 # unsorted grid with a repeat, so its trials grow both a prefix and a
 # complement chain (see models._binomial_chains).
@@ -611,11 +631,6 @@ GOLDEN_STDOUT = {
         "k=3\nj=2\nn=30\ntrials=3\ngamma=0.5\nell_list=0,1\n",
         ["smooth", "--config", "{cfg}"],
         "e76a0ebc6a538199db2c0f6b0a86f12cbad5f4db06631e90c927db9985210207",
-    ),
-    "smooth-sampled": (
-        "k=3\nj=2\nn=30\ntrials=2\ngamma=0.5\nell_list=1\nsample_cap=5\n",
-        ["smooth", "--config", "{cfg}"],
-        "eacce20d7e83e0b18fc1d716895390c7df7e21f09ab6f1eea243d708003fa206",
     ),
     "smooth-flagged": (  # three of the four trials draw no edges
         "k=3\nj=2\nn=4\ntrials=4\ngamma=0.5\nell_list=0,1\n",
@@ -700,10 +715,6 @@ GOLDEN_STDERR = {
         "above (p=0.49441): P(j-connected) = 1.00, P(isolated j-set) = 0.00",
     ],
     "smooth": ["3 trials, 0 flagged (no edges)", "advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal"],
-    "smooth-sampled": [
-        "2 trials, 0 flagged (no edges)",
-        "advisory: gamma^3 * n = 3.75 < 100: smoothness regime is marginal",
-    ],
     "smooth-flagged": ["4 trials, 3 flagged (no edges)", "advisory: gamma^3 * n = 0.5 < 100: smoothness regime is marginal"],
 }
 

@@ -44,8 +44,9 @@ def test_config_validation():
         ExperimentConfig(params=params, trials=0)
     with pytest.raises(ValidationError):
         ExperimentConfig(params=params, eps_grid=(0.1, 0.0))
-    with pytest.raises(ValidationError):
-        ExperimentConfig(params=params, sample_cap=0)
+    ExperimentConfig(params=params, eps_grid=(0.1, 0.1))  # a repeated grid point runs twice
+    with pytest.raises(ValidationError, match=r"ell_list values must be distinct, got \(0, 1, 0\)"):
+        ExperimentConfig(params=params, ell_list=(0, 1, 0))
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         ExperimentConfig(params=params, base_seed=-3)
     with pytest.raises(ValidationError, match="omega"):

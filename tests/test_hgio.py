@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperphase import hgio
 from hyperphase.combinatorics import binomial, colex_unrank
 from hyperphase.errors import ConfigError, ParseError, ValidationError
 from hyperphase.experiments import ExperimentConfig
@@ -144,7 +145,6 @@ def test_parse_config_sweep_with_defaults():
     assert cfg.trials == 50
     assert cfg.base_seed == 1
     assert cfg.eps is None and cfg.gamma is None
-    assert cfg.sample_cap == 10**6
 
 
 def test_parse_config_defaults_are_the_dataclasses():
@@ -164,17 +164,22 @@ def test_parse_config_graph_case():
     assert cfg.params == Params(2, 1, 100)
 
 
+def test_config_keys_are_the_config_fields():
+    # k, j, n make params and seed is base_seed; every other key is its field
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(hgio._CONVERT) == names - {"params", "base_seed"} | {"k", "j", "n", "seed"}
+
+
 def test_parse_config_all_keys():
     text = (
         "k=3\nj=2\nn=60\ntrials=7\nseed=9\neps=0.2\ngamma=0.3\nomega=3\n"
-        "s=1\nc=-2.5\neps_grid=-0.2,0.2\nell_list=0,1\nsample_cap=500\n"
+        "s=1\nc=-2.5\neps_grid=-0.2,0.2\nell_list=0,1\n"
     )
     cfg = parse_config(text)
     assert cfg.trials == 7 and cfg.base_seed == 9
     assert cfg.eps == 0.2 and cfg.gamma == 0.3 and cfg.omega == 3.0
     assert cfg.s == 1 and cfg.c == -2.5
     assert cfg.eps_grid == (-0.2, 0.2) and cfg.ell_list == (0, 1)
-    assert cfg.sample_cap == 500
 
 
 def test_parse_config_errors():
@@ -182,6 +187,8 @@ def test_parse_config_errors():
         parse_config("k=3\nj=2\nn=10\nbogus=1\n")
     with pytest.raises(ConfigError, match="^line 4: unknown key 'delta'$"):  # a fixed constant of the advisory check
         parse_config("k=3\nj=2\nn=10\ndelta=0.25\n")
+    with pytest.raises(ConfigError, match="^line 4: unknown key 'sample_cap'$"):  # every ell-set is scored
+        parse_config("k=3\nj=2\nn=10\nsample_cap=500\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("k=3\nk=4\nj=2\nn=10\n")
     with pytest.raises(ConfigError, match="missing required"):

@@ -43,13 +43,13 @@ RECORDS = {
     "DegreeProfile": ["counts"],
     "DegreeRunResult": ["p", "poisson_rate", "counts", "tv_distance", "mean_count"],
     "ExperimentConfig": ["params", "eps", "gamma", "omega", "s", "c", "trials", "base_seed", "eps_grid",
-                         "ell_list", "sample_cap"],
+                         "ell_list"],
     "ExplorationRecord": ["start", "generations", "exhausted"],
     "GWResult": ["offspring_rate", "batch", "survival", "iterations"],
     "HittingRecord": ["t_c", "t_i"],
     "ProbeSide": ["p", "trials", "fraction_connected", "fraction_isolated"],
     "ProbeTrial": ["connected", "has_isolated"],
-    "SmoothnessReport": ["expected_per_ellset", "max_rel_dev", "mean_rel_dev", "sampled"],
+    "SmoothnessReport": ["expected_per_ellset", "max_rel_dev", "mean_rel_dev"],
     "SmoothnessTrial": ["l1_size", "reports"],
     "Stats": ["mean", "stddev"],
     "SweepPoint": ["p", "trials", "largest_fraction", "predicted_fraction"],
@@ -79,11 +79,11 @@ def test_record_fields():
 
 def test_experiments_hold_no_sample_rule():
     # generators, their words, rank draws, prefixes and complements live in
-    # models; the drivers and the smoothness score hand models seeds and
-    # counts and get rank arrays or counts back (never the (count, generator)
-    # pair of _binomial_count)
+    # models; the drivers hand models seeds and counts and get rank arrays or
+    # counts back (never the (count, generator) pair of _binomial_count), and
+    # the smoothness score draws nothing
     words = ("random", "Random", "getrandbits", "first_distinct_ranks", "_distinct_ranks", "// 2", "bytes",
-             "_round_words", "_binomial_count")
+             "_round_words", "_binomial_count", "_first_ranks")
     for module in ("experiments.py", "analysis.py"):
         source = (Path(hyperphase.__file__).parent / module).read_text(encoding="utf-8")
         for word in words:
